@@ -15,12 +15,7 @@
 //! latency percentiles, allocation per summary, speedup vs the seed
 //! path) for the cross-PR perf trajectory; `bench_shard` prints the
 //! full per-shard-count scatter/gather sweep behind the JSON's
-//! `shardN_batch_summaries_per_sec` keys and additionally *merges* the
-//! partitioned-replica memory/routing keys — per-shard
-//! `shardN_graph_bytes` (full-replica baseline) vs
-//! `partitionN_graph_bytes` (true sub-graph replicas) plus
-//! `partition_cross_shard_fraction` (the measured escalation share) —
-//! into `BENCH_batch.json`; `bench_admission` prints the
+//! `shardN_batch_summaries_per_sec` keys; `bench_admission` prints the
 //! producer-count × linger-window sweep behind its `admission_*` keys.
 //! `bench_traffic` replays the seeded open-loop arrival tape (Zipf
 //! inputs, on/off bursts, mixed methods, mutation barriers) at fixed
@@ -217,49 +212,6 @@ fn merge_modelcheck_keys(path: &str, entries: &[(&str, usize, f64)]) {
     std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
-/// Merge the partitioned-replica memory/routing keys of `report` into
-/// the flat JSON object at `path`, with the same pass-through
-/// discipline as [`merge_traffic_keys`]: stale `shardN_graph_bytes` /
-/// `partitionN_graph_bytes` / `partition_*` lines are replaced, every
-/// other pre-existing line stays byte-identical.
-fn merge_partition_keys(path: &str, report: &xsum_bench::experiments::perf::PartitionReport) {
-    let base = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let mut lines: Vec<String> = base
-        .lines()
-        .filter(|l| {
-            let t = l.trim();
-            let stale = t.starts_with("\"partition")
-                || (t.starts_with("\"shard") && t.contains("_graph_bytes"));
-            !stale && !t.is_empty() && t != "}"
-        })
-        .map(str::to_string)
-        .collect();
-    if lines.is_empty() {
-        lines.push("{".to_string());
-    }
-    if let Some(last) = lines.last_mut() {
-        let t = last.trim_end();
-        if !t.ends_with('{') && !t.ends_with(',') {
-            *last = format!("{t},");
-        }
-    }
-    for s in 0..report.shards {
-        lines.push(format!(
-            "  \"shard{s}_graph_bytes\": {},\n  \"partition{s}_graph_bytes\": {},",
-            report.shard_graph_bytes[s], report.partition_graph_bytes[s],
-        ));
-    }
-    lines.push(format!(
-        "  \"partition_local_serves\": {},\n  \"partition_coverage_serves\": {},\n  \
-         \"partition_cross_shard_fraction\": {:.4}",
-        report.local_serves, report.coverage_serves, report.cross_shard_fraction,
-    ));
-    lines.push("}".to_string());
-    let mut out = lines.join("\n");
-    out.push('\n');
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
-}
-
 /// Merge the delta-mutation-pipeline keys of `report` into the flat
 /// JSON object at `path`, with the same pass-through discipline as
 /// [`merge_traffic_keys`]: stale `mutation_*` / `session_survival*` /
@@ -336,8 +288,8 @@ fn run_modelcheck() {
             let s = modelcheck::breaker_transitions_race_free();
             (s.schedules_explored, s.exhausted)
         }),
-        ("partition_barrier", || {
-            let s = modelcheck::partitioned_scatter_mutation_barrier();
+        ("mutate_barrier", || {
+            let s = modelcheck::admission_mutation_barrier();
             (s.schedules_explored, s.exhausted)
         }),
     ];
@@ -569,7 +521,7 @@ fn main() {
             // Per-shard-count scatter/gather throughput on the same
             // workload `bench_batch` measures (TSV; the 2- and 4-shard
             // points also land in BENCH_batch.json via bench_batch).
-            let mut rows = perf::shard_bench(
+            let rows = perf::shard_bench(
                 xsum_datasets::ScalingLevel::G5,
                 args.scale,
                 args.seed,
@@ -577,34 +529,7 @@ fn main() {
                 args.top_k,
                 &[1, 2, 4],
             );
-            // Partitioned-replica memory/routing at 2 shards: per-shard
-            // bytes of the full clones vs the true sub-graph replicas,
-            // plus the measured certify-or-escalate split, merged into
-            // BENCH_batch.json (all other keys pass through
-            // byte-identical).
-            let (prows, report) = perf::partition_bench(
-                xsum_datasets::ScalingLevel::G5,
-                args.scale,
-                args.seed,
-                (2 * args.users_per_gender).max(32),
-                args.top_k,
-                2,
-            );
-            rows.extend(prows);
             print_rows(&rows);
-            merge_partition_keys("BENCH_batch.json", &report);
-            eprintln!(
-                "bench_shard: partitioned mode at {} shards — full replica {} bytes/shard, \
-                 partitions {:?} bytes, cross-shard fraction {:.3} ({} local / {} coverage); \
-                 merged shardN_graph_bytes / partitionN_graph_bytes / partition_* keys into \
-                 BENCH_batch.json",
-                report.shards,
-                report.shard_graph_bytes[0],
-                report.partition_graph_bytes,
-                report.cross_shard_fraction,
-                report.local_serves,
-                report.coverage_serves,
-            );
         }
         "bench_traffic" => {
             // Open-loop serving trajectory: replay the seeded arrival

@@ -864,109 +864,6 @@ pub fn shard_bench(
     rows
 }
 
-/// Memory and routing report of the partitioned serving mode at one
-/// shard count: per-shard resident graph bytes in full-replica mode vs
-/// true-partition mode, plus the cross-shard escalation split measured
-/// on the bench workload ([`partition_bench`]).
-#[derive(Debug, Clone)]
-pub struct PartitionReport {
-    /// Shard count both modes were built at.
-    pub shards: usize,
-    /// Per-shard graph bytes of the full-replica engine (every entry is
-    /// the whole graph — the baseline the partitions undercut).
-    pub shard_graph_bytes: Vec<usize>,
-    /// Per-shard graph bytes of the partitioned engine's sub-graph
-    /// replicas (residents + halo; excludes the one coverage replica).
-    pub partition_graph_bytes: Vec<usize>,
-    /// Requests served inside their home partition.
-    pub local_serves: u64,
-    /// Requests escalated to the coverage replica.
-    pub coverage_serves: u64,
-    /// `coverage / (local + coverage)` — the honest cost of partitioned
-    /// serving on this workload (`0.0` if nothing was served).
-    pub cross_shard_fraction: f64,
-}
-
-/// Partitioned-replica memory/routing bench on the [`batch_inputs`]
-/// workload: build the same graph behind a full-replica and a
-/// partitioned `ShardedEngine` at `shards` shards, serve the batch
-/// through the partitioned mode (warm + measured passes), and report
-/// per-shard resident bytes plus the certify-or-escalate split.
-pub fn partition_bench(
-    level: ScalingLevel,
-    scale: f64,
-    seed: u64,
-    users: usize,
-    k: usize,
-    shards: usize,
-) -> (Vec<Row>, PartitionReport) {
-    let (ds, inputs) = batch_inputs(level, scale, seed, users, k);
-    let g = &ds.kg.graph;
-    g.freeze();
-    let method = BatchMethod::Steiner(SteinerConfig::default());
-
-    let full = ShardedEngine::new(g, shards);
-    let shard_graph_bytes: Vec<usize> = (0..shards)
-        .map(|s| full.graph(s).resident_bytes())
-        .collect();
-
-    let mut parted = ShardedEngine::new_partitioned(g, shards, seed);
-    let partition_graph_bytes: Vec<usize> = (0..shards)
-        .map(|s| {
-            parted
-                .partition(s)
-                .expect("partitioned engine")
-                .graph()
-                .resident_bytes()
-        })
-        .collect();
-    for _ in 0..2 {
-        std::hint::black_box(parted.summarize_batch(&inputs, method));
-    }
-    let (local_serves, coverage_serves) = parted.partition_stats();
-    let served = (local_serves + coverage_serves).max(1);
-    let cross_shard_fraction = coverage_serves as f64 / served as f64;
-
-    let mut rows = Vec::new();
-    for s in 0..shards {
-        rows.push(Row::new(
-            "user-centric",
-            "random",
-            "ST",
-            s,
-            "full_replica_graph_bytes",
-            shard_graph_bytes[s] as f64,
-        ));
-        rows.push(Row::new(
-            "user-centric",
-            "random",
-            "ST",
-            s,
-            "partition_graph_bytes",
-            partition_graph_bytes[s] as f64,
-        ));
-    }
-    rows.push(Row::new(
-        "user-centric",
-        "random",
-        "ST",
-        shards,
-        "partition_cross_shard_fraction",
-        cross_shard_fraction,
-    ));
-    (
-        rows,
-        PartitionReport {
-            shards,
-            shard_graph_bytes,
-            partition_graph_bytes,
-            local_serves,
-            coverage_serves,
-            cross_shard_fraction,
-        },
-    )
-}
-
 /// Repair-cost report of the delta-aware mutation pipeline: what one
 /// weight-only delta costs to absorb via the O(|touched|) ledger path
 /// vs a rebuild-from-scratch stack, plus session survival under the
@@ -1010,7 +907,7 @@ pub struct MutationReport {
 /// weight above the Eq. 1 anchor (`base_max`), never touches an edge
 /// holding the anchor bits, and varies values by `round` so repeated
 /// rounds are never bit-no-ops. Strided over the edge list so the
-/// touched set is spread across partitions.
+/// touched set is spread across the graph.
 fn anchor_safe_delta(
     g: &xsum_graph::Graph,
     base_max: f64,

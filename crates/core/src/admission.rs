@@ -325,12 +325,6 @@ pub struct DispatchMeta {
     /// Whether this request was downgraded `Steiner` → `SteinerFast`
     /// under [`DegradePolicy::AllowStFast`].
     pub degraded: bool,
-    /// How many of the batch's requests the backend escalated out of
-    /// their home shard (a partitioned [`ShardedEngine`]'s coverage
-    /// serves, from [`AdmissionBackend::cross_shard_serves`] deltas).
-    /// `0` for full-replica and single-engine backends, and for
-    /// tickets that never dispatched.
-    pub cross_shard: usize,
 }
 
 impl DispatchMeta {
@@ -340,7 +334,6 @@ impl DispatchMeta {
             batch: 0,
             coalesced: 0,
             degraded: false,
-            cross_shard: 0,
         }
     }
 }
@@ -430,15 +423,6 @@ pub trait AdmissionBackend: Send + 'static {
     /// [`AdmissionBackend::mutate_graph`] — the failed barrier becomes
     /// a rollback no-op.
     fn recover_coherence(&mut self) -> Result<(), EngineError>;
-
-    /// Cumulative count of requests this backend escalated out of
-    /// their home shard (a partitioned [`ShardedEngine`]'s coverage
-    /// serves). The dispatcher differences this counter around each
-    /// batch to fill [`DispatchMeta::cross_shard`]. Backends without a
-    /// cross-shard path report a constant `0`.
-    fn cross_shard_serves(&self) -> u64 {
-        0
-    }
 }
 
 /// A [`SummaryEngine`] serving an owned graph — the single-engine
@@ -540,10 +524,6 @@ impl AdmissionBackend for ShardedEngine {
     fn recover_coherence(&mut self) -> Result<(), EngineError> {
         self.resync_replicas();
         Ok(())
-    }
-
-    fn cross_shard_serves(&self) -> u64 {
-        self.partition_stats().1
     }
 }
 
@@ -1736,7 +1716,6 @@ fn dispatcher_loop(shared: &QueueShared, backend: &mut dyn AdmissionBackend) {
                 let method = reqs[0].method;
                 let inputs: Vec<&SummaryInput> = reqs.iter().map(|r| &r.input).collect();
                 let expiring = reqs.iter().filter(|r| r.expires_at.is_some()).count();
-                let cross_before = backend.cross_shard_serves();
                 let batch_result = match draw_fault(
                     shared,
                     FaultSite::AdmissionDispatch,
@@ -1771,15 +1750,10 @@ fn dispatcher_loop(shared: &QueueShared, backend: &mut dyn AdmissionBackend) {
                             .collect()
                     }
                 };
-                // The batch's cross-shard escalations, observed as a
-                // counter delta around the dispatch (includes the
-                // per-request fallback serves above — they belong to
-                // this batch too).
                 let meta = DispatchMeta {
                     batch: batch_id,
                     coalesced: reqs.len(),
                     degraded: false,
-                    cross_shard: backend.cross_shard_serves().saturating_sub(cross_before) as usize,
                 };
                 // Count first, then resolve tickets: a waiter that
                 // wakes on its slot must already see itself counted.

@@ -40,14 +40,13 @@
 //!   and after [`AdmissionQueue::recover`] the queue serves again.
 //! * [`breaker_transitions_race_free`] — [`CircuitBreaker`] invariants
 //!   hold after every step of two racing recorder threads.
-//! * [`partitioned_scatter_mutation_barrier`] — producers race a
-//!   partition-mutation barrier through the queue against a
-//!   partitioned-style backend: every serve lands exactly once (local
-//!   or cross-shard escalation, never both, never lost), a serve never
-//!   observes a partition *ahead* of the mutation authority, and the
-//!   dispatcher's per-batch
-//!   [`DispatchMeta::cross_shard`](crate::admission::DispatchMeta::cross_shard)
-//!   deltas sum exactly to the backend's escalation counter.
+//! * [`admission_mutation_barrier`] — two producers race a `Mutate`
+//!   barrier through the queue against a versioned single backend:
+//!   every request is served exactly once, requests queued before and
+//!   after the barrier see the old and new version respectively, and
+//!   the versions seen are monotone in
+//!   [`DispatchMeta::batch`](crate::admission::DispatchMeta::batch)
+//!   order.
 
 use crate::admission::{AdmissionBackend, AdmissionConfig, AdmissionQueue, TicketSet};
 use crate::batch::BatchMethod;
@@ -545,55 +544,42 @@ pub fn breaker_transitions_race_free() -> ModelStats {
     )
 }
 
-/// A minimal replica of the partitioned serving protocol (shard.rs,
-/// "Partitioned topology") under the admission queue: two partitions
-/// with per-partition sync versions, one mutation authority, and a
-/// lazy halo-sync discipline — a partition left stale by a mutation
-/// escalates its next request cross-shard (the coverage serve) and
-/// only then re-syncs, exactly the certify-or-escalate shape.
-///
-/// Two producers race single submissions against a mutation barrier.
-/// Invariants asserted across every explored interleaving:
-/// * a serve never observes a partition version *ahead* of the
-///   authority (the barrier orders authority write before partition
-///   sync);
-/// * every completed request was served exactly once, locally or
-///   cross-shard (`local + cross == completed`, nothing lost or
-///   double-served);
-/// * the dispatcher's per-batch `DispatchMeta::cross_shard` deltas —
-///   computed by differencing `AdmissionBackend::cross_shard_serves`
-///   around each dispatch — sum exactly to the backend's own
-///   escalation counter (no delta is lost or double-counted when
-///   batches and barriers interleave).
-pub fn partitioned_scatter_mutation_barrier() -> ModelStats {
-    /// The partitioned mock: `parts[home] == authority` serves locally,
-    /// a stale partition escalates to coverage and re-syncs.
+/// Two producers race single submissions against a `Mutate` barrier
+/// through the admission queue, over one backend whose graph version
+/// the barrier bumps. The root queues one request before the barrier
+/// and submits one more after it returns. Invariants asserted across
+/// every explored interleaving:
+/// * every request is served exactly once (one backend serve per
+///   input, every ticket resolves `Ok`);
+/// * the barrier neither jumps a request queued ahead of it (the
+///   root's first request sees version 0) nor lets a batch dispatched
+///   after it see the pre-barrier version (the root's second request
+///   sees version 1);
+/// * the versions seen are monotone in `DispatchMeta::batch` order,
+///   so no coalesced batch straddles the barrier.
+pub fn admission_mutation_barrier() -> ModelStats {
+    /// One backend serve: which input, at which graph version.
+    type ServeLog = Arc<Mutex<Vec<(u32, u64)>>>;
+
+    /// The versioned mock: `mutate_graph` bumps `version`, and every
+    /// serve logs the version it ran against.
     #[derive(Debug)]
-    struct MockPartitioned {
-        authority: u64,
-        parts: [u64; 2],
-        local: Arc<AtomicU64>,
-        cross: Arc<AtomicU64>,
+    struct MockVersioned {
+        version: u64,
+        log: ServeLog,
     }
 
-    impl MockPartitioned {
+    impl MockVersioned {
         fn serve(&mut self, input: &SummaryInput) -> Summary {
-            let home = (input.terminals[0].0 as usize) % 2;
-            assert!(
-                self.parts[home] <= self.authority,
-                "partition {home} ran ahead of the mutation authority"
-            );
-            if self.parts[home] == self.authority {
-                self.local.fetch_add(1, Ordering::SeqCst);
-            } else {
-                self.cross.fetch_add(1, Ordering::SeqCst);
-                self.parts[home] = self.authority;
-            }
+            self.log
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((input.terminals[0].0, self.version));
             MockBackend::summary(input)
         }
     }
 
-    impl AdmissionBackend for MockPartitioned {
+    impl AdmissionBackend for MockVersioned {
         fn run_batch(
             &mut self,
             inputs: &[&SummaryInput],
@@ -612,12 +598,7 @@ pub fn partitioned_scatter_mutation_barrier() -> ModelStats {
 
         fn mutate_graph(&mut self, f: &mut dyn FnMut(&mut Graph)) -> Result<(), EngineError> {
             let _ = f;
-            // The barrier: authority first, then only partition 0 syncs
-            // eagerly (the owner of the mutated edge) — partition 1
-            // models a lazily-refreshed replica and stays stale until
-            // its next serve escalates.
-            self.authority += 1;
-            self.parts[0] = self.authority;
+            self.version += 1;
             Ok(())
         }
 
@@ -631,10 +612,6 @@ pub fn partitioned_scatter_mutation_barrier() -> ModelStats {
         fn recover_coherence(&mut self) -> Result<(), EngineError> {
             Ok(())
         }
-
-        fn cross_shard_serves(&self) -> u64 {
-            self.cross.load(Ordering::SeqCst)
-        }
     }
 
     model_with(
@@ -644,14 +621,11 @@ pub fn partitioned_scatter_mutation_barrier() -> ModelStats {
             ..ModelConfig::default()
         },
         || {
-            let local = Arc::new(AtomicU64::new(0));
-            let cross = Arc::new(AtomicU64::new(0));
+            let log = ServeLog::default();
             let queue = Arc::new(AdmissionQueue::new(
-                MockPartitioned {
-                    authority: 0,
-                    parts: [0, 0],
-                    local: Arc::clone(&local),
-                    cross: Arc::clone(&cross),
+                MockVersioned {
+                    version: 0,
+                    log: Arc::clone(&log),
                 },
                 AdmissionConfig {
                     queue_bound: 8,
@@ -661,39 +635,70 @@ pub fn partitioned_scatter_mutation_barrier() -> ModelStats {
             ));
 
             let producers: Vec<_> = (0..2u32)
-                .map(|home| {
+                .map(|k| {
                     let queue = Arc::clone(&queue);
                     thread::spawn(move || {
                         let ticket = queue
-                            .submit(mock_input(home), mock_method())
+                            .submit(mock_input(k), mock_method())
                             .expect("queue has room");
                         let (result, meta) = ticket.wait_meta();
-                        result.expect("the partitioned mock never fails a serve");
-                        (meta.batch, meta.cross_shard)
+                        result.expect("the versioned mock never fails a serve");
+                        (k, meta.batch)
                     })
                 })
                 .collect();
 
+            let before = queue
+                .submit(mock_input(2), mock_method())
+                .expect("queue has room");
             queue
                 .mutate(|_| {})
-                .expect("the partitioned mock mutation succeeds");
+                .expect("the versioned mock mutation succeeds");
+            let after = queue
+                .submit(mock_input(3), mock_method())
+                .expect("queue has room");
 
-            // The meta is per *batch* (shared by every coalesced
-            // member), so sum the deltas once per distinct batch id.
-            let mut batches: Vec<(u64, usize)> = producers
+            let mut batches: Vec<(u32, u64)> = producers
                 .into_iter()
                 .map(|h| h.join().expect("producer panicked"))
                 .collect();
-            batches.sort_unstable();
-            batches.dedup();
-            let meta_cross: usize = batches.iter().map(|&(_, c)| c).sum();
+            for (k, ticket) in [(2, before), (3, after)] {
+                let (result, meta) = ticket.wait_meta();
+                result.expect("the versioned mock never fails a serve");
+                batches.push((k, meta.batch));
+            }
 
-            let served = local.load(Ordering::SeqCst) + cross.load(Ordering::SeqCst);
-            assert_eq!(served, 2, "every request serves exactly once");
+            let log = log.lock().unwrap_or_else(PoisonError::into_inner);
+            let version_of = |k: u32| {
+                let serves: Vec<u64> = log
+                    .iter()
+                    .filter(|&&(input, _)| input == k)
+                    .map(|&(_, v)| v)
+                    .collect();
+                assert_eq!(serves.len(), 1, "request {k} served {} times", serves.len());
+                serves[0]
+            };
+            assert_eq!(log.len(), 4, "a serve ran for no request");
             assert_eq!(
-                meta_cross as u64,
-                cross.load(Ordering::SeqCst),
-                "DispatchMeta::cross_shard deltas must sum to the backend counter"
+                version_of(2),
+                0,
+                "the barrier jumped a request queued ahead of it"
+            );
+            assert_eq!(
+                version_of(3),
+                1,
+                "a batch dispatched after the barrier saw the pre-barrier version"
+            );
+            let mut seen: Vec<(u64, u64)> = batches
+                .iter()
+                .map(|&(k, batch)| (batch, version_of(k)))
+                .collect();
+            seen.sort_unstable();
+            assert!(
+                seen.windows(2)
+                    .all(|w| w[0].1 <= w[1].1 && (w[0].0 != w[1].0 || w[0].1 == w[1].1)),
+                "versions went backwards in batch order, or a batch straddled \
+                 the barrier: {seen:?}"
             );
         },
     )

@@ -9,7 +9,7 @@
 //! ```text
 //!                    ┌───────────────────────────────────┐
 //!   mixed batch ───► │ ShardedEngine                     │
-//!                    │  ShardRouter: input → shard       │
+//!                    │  HashRouter: input → shard        │
 //!                    │  scatter ──┬───────┬───────┐      │
 //!                    │   shard 0  │ shard 1  …  shard N  │
 //!                    │  ┌───────┐ │ ┌───────┐  ┌───────┐ │
@@ -31,16 +31,14 @@
 //!   router is purely a load/affinity decision — correctness is
 //!   identical by construction, and the property suite
 //!   (`tests/prop_shard.rs`) pins the outputs **bit-identical** to a
-//!   single [`SummaryEngine`]. True user/item partitions slot in
-//!   through the [`ShardRouter`] trait without touching the engine
-//!   (see below).
+//!   single [`SummaryEngine`].
 //! * **Scatter/gather batching.** [`ShardedEngine::summarize_batch`]
 //!   groups a mixed batch by shard, dispatches the per-shard
 //!   sub-batches onto the replicas' pinned worker pools **concurrently**
 //!   ([`parallel_zip_map`] pairs replica *i* with sub-batch *i*
 //!   statically — no stealing across replicas), and reassembles the
 //!   outputs in input order.
-//! * **Shard-affine sessions.** The default [`HashRouter`] routes a
+//! * **Shard-affine sessions.** The [`HashRouter`] routes a
 //!   [`SessionKey`] by hashing its user/baseline identity, so a user's
 //!   scrolling session always lands on the same replica and that
 //!   replica's [`SessionStore`](crate::session::SessionStore) stays
@@ -51,93 +49,6 @@
 //!   mutation epoch. Each replica's cost-model cache and session store
 //!   key on *its own* graph's epoch, so the next request on any shard
 //!   sees the mutation — no replica can serve pre-mutation state.
-//!
-//! # The router trait
-//!
-//! [`ShardRouter`] is the partitioning hook: it maps each
-//! [`SummaryInput`] (batch path) and each [`SessionKey`] (session path)
-//! to a shard index. The default [`HashRouter`] hashes the request's
-//! user/baseline identity for affinity; [`ConsistentHashRouter`] puts
-//! the same identity on a vnode hash ring so elastic shard counts move
-//! a bounded key set; and [`PartitionRouter`] — installed by the
-//! partitioned constructors — looks the identity up in the
-//! partitioner's owner map, so each request lands on the shard whose
-//! sub-graph actually contains its anchor.
-//!
-//! # Partitioned topology
-//!
-//! [`ShardedEngine::new_partitioned`] replaces the full clones with
-//! **true sub-graph replicas**: the deterministic Voronoi partitioner
-//! ([`xsum_kg::partition_nodes`]) assigns every node an owning shard,
-//! each shard materializes its residents (plus a k-hop halo around
-//! every cut edge) as a [`Partition`], and one designated **coverage**
-//! replica keeps the full graph:
-//!
-//! ```text
-//!                 ┌─────────────────────────────────────────────┐
-//!  mixed batch ──►│ ShardedEngine (partitioned)                 │
-//!                 │  PartitionRouter: owner[anchor] → shard     │
-//!                 │  scatter ──┬─────────┬─────────┐            │
-//!                 │  ┌───────────┐ ┌───────────┐   │            │
-//!                 │  │Partition 0│ │Partition 1│ … │            │
-//!                 │  │ sub-graph │ │ sub-graph │   │            │
-//!                 │  │ + halo    │ │ + halo    │   │            │
-//!                 │  │ certify?──┼─┼─certify?──┼─┐ │            │
-//!                 │  └───────────┘ └───────────┘ │ │            │
-//!                 │     │ local serves           │ │escalations │
-//!                 │     ▼                        ▼ ▼            │
-//!                 │  gather ◄──────────── ┌──────────────┐      │
-//!                 │  (input order)        │ coverage     │      │
-//!                 │     │                 │ full graph   │      │
-//!                 │     ▼                 │ + sessions   │      │
-//!                 │  summaries            └──────────────┘      │
-//!                 └─────────────────────────────────────────────┘
-//! ```
-//!
-//! * **Certify or escalate.** A request is served *inside* its home
-//!   partition only when a *sound* certificate proves the local result
-//!   bit-identical to a full-graph serve: (0) the partition's maximum
-//!   raw edge weight equals the global maximum bit-for-bit (Eq. 1's
-//!   cost transform is anchored on it), (1) every terminal and every
-//!   explanation-path node is contained, (2) with the exact patched
-//!   local cost table, one Dijkstra from the first terminal bounds all
-//!   terminal-pair distances by `D_ub = 2·max_t d(s0, t)`, and (3) a
-//!   multi-source Voronoi pass from the terminal set shows every
-//!   terminal-reachable boundary node **strictly** beyond `D_ub` — any
-//!   path escaping the partition pays its first-exit prefix entirely
-//!   locally, so nothing within the terminal diameter can leave.
-//!   Distances, heap pop order, parent choices and Mehlhorn bridge
-//!   selections then coincide with the full-graph run (the node/edge
-//!   remap is *monotone*, preserving every id tie-break), and the local
-//!   summary remaps back to parent ids unchanged. Anything that fails
-//!   the certificate — and the PCST methods, whose growth is not
-//!   covered by the proof — escalates to the coverage replica.
-//!   `tests/prop_partition.rs` pins the universal bit-identity.
-//! * **Halo semantics.** A partition's graph is the sub-graph induced
-//!   by `residents ∪ halo` (one hop by default): every cut edge is
-//!   locally present, and [`Partition::boundary_local`] marks exactly
-//!   the nodes where a parent-graph path can exit — the certificate's
-//!   check points. Deeper halos raise the certified-local fraction at a
-//!   memory premium.
-//! * **Cross-shard accounting.** [`ShardedEngine::partition_stats`]
-//!   counts local vs coverage serves, and the admission tier surfaces
-//!   the per-batch coverage count as
-//!   [`DispatchMeta::cross_shard`](crate::admission::DispatchMeta::cross_shard)
-//!   — the cross-shard fraction is an observable, not a guess.
-//! * **Mutation routing.** [`ShardedEngine::set_weight`] applies to the
-//!   coverage (authority) graph and to every partition containing the
-//!   edge — owning partition plus halo copies — instead of N full
-//!   applies. General [`ShardedEngine::mutate`] closures run once on
-//!   the authority; weight drift then syncs edge-by-edge, while
-//!   structural drift deterministically rebuilds the plan from the
-//!   stored `(seed, config)` recipe.
-//! * **Failure containment.** Per-partition breakers work as in
-//!   full-replica mode, but failover is *coverage-only*: a partition
-//!   cannot serve another partition's requests, so a failed or
-//!   breaker-open partition routes to the coverage replica (which, like
-//!   the single-shard tier, retries once and then surfaces the error).
-//!   Sessions are **coverage-affine** — incremental session state needs
-//!   the full graph.
 //!
 //! # Failure semantics
 //!
@@ -181,38 +92,17 @@ use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xsum_graph::sync::Arc;
 
-use xsum_graph::{
-    fxhash::FxHasher, num_threads, parallel_zip_map, DijkstraWorkspace, EdgeCosts, EdgeId, Graph,
-    LoosePath, NodeId, Partition, PartitionConfig, Subgraph,
-};
-use xsum_kg::{partition_nodes, PartitionerConfig};
+use xsum_graph::{fxhash::FxHasher, num_threads, parallel_zip_map, EdgeId, Graph, NodeId};
 
 use crate::batch::BatchMethod;
 use crate::engine::{EngineError, SummaryEngine};
 use crate::faults::{FaultInjector, FaultKind, FaultSite};
 use crate::input::SummaryInput;
 use crate::session::{session_summary, SessionKey, SessionStore};
-use crate::steiner::{CostModelCache, SteinerConfig};
+use crate::steiner::SteinerConfig;
 use crate::summary::Summary;
 
-/// Maps requests to shards — the partitioning hook of the sharded
-/// serving tier (see the module docs).
-///
-/// Implementations must be **deterministic**: the same request must
-/// route to the same shard for as long as the shard count is stable,
-/// both for session affinity and so repeated batches hit warm replica
-/// state. Returned indices are clamped to the live shard range by the
-/// caller, so an implementation may assume nothing beyond `shards ≥ 1`.
-pub trait ShardRouter: std::fmt::Debug + Send {
-    /// The shard (in `0..shards`) that serves `input` in a batch.
-    fn route_input(&self, input: &SummaryInput, shards: usize) -> usize;
-
-    /// The shard (in `0..shards`) that owns `key`'s incremental
-    /// session. Must be stable across calls — sessions are stateful.
-    fn route_session(&self, key: &SessionKey, shards: usize) -> usize;
-}
-
-/// The default router: Fx-hash of the request's user identity.
+/// The shard router: Fx-hash of the request's user identity.
 ///
 /// Batch inputs are routed by their *anchor node* — the source of the
 /// first explanation path (the user in user-centric inputs, a member
@@ -256,125 +146,16 @@ impl HashRouter {
             .or_else(|| input.terminals.first().copied())
             .unwrap_or(NodeId(0))
     }
-}
 
-impl ShardRouter for HashRouter {
-    fn route_input(&self, input: &SummaryInput, shards: usize) -> usize {
+    /// The shard (in `0..shards`) that serves `input` in a batch.
+    pub fn route_input(&self, input: &SummaryInput, shards: usize) -> usize {
         Self::bucket_of_identity(Self::routing_anchor(input).0 as u64, shards)
     }
 
-    fn route_session(&self, key: &SessionKey, shards: usize) -> usize {
+    /// The shard (in `0..shards`) that owns `key`'s incremental
+    /// session. Stable across calls — sessions are stateful.
+    pub fn route_session(&self, key: &SessionKey, shards: usize) -> usize {
         Self::bucket_of_identity(key.user, shards)
-    }
-}
-
-/// A consistent-hash ring over the same 64-bit identity discipline as
-/// [`HashRouter`]: each shard owns `vnodes` pseudo-random points on a
-/// `u64` ring, and an identity routes to the shard owning the first
-/// ring point at or after its hash (wrapping at the top).
-///
-/// Against [`HashRouter`]'s modulo bucketing, the ring buys **bounded
-/// key movement** under elastic shard counts: growing an `N`-shard ring
-/// to `N + 1` moves exactly the identities whose successor point now
-/// belongs to the new shard — every moved key lands *on the new shard*
-/// and no key moves between two old shards (pinned by the
-/// `ring_growth_moves_keys_only_to_the_new_shard` test). A tier
-/// resizing its fleet under `HashRouter` would instead reshuffle about
-/// `(N−1)/N` of all affinities, going cold everywhere at once.
-#[derive(Debug, Clone)]
-pub struct ConsistentHashRouter {
-    /// `(point, shard)`, sorted by point — the ring.
-    ring: Vec<(u64, u32)>,
-}
-
-impl ConsistentHashRouter {
-    /// A ring over `shards` shards with the default vnode count (40 per
-    /// shard keeps per-shard load imbalance in the few-percent range
-    /// while the ring stays a cache-resident sorted array).
-    pub fn new(shards: usize) -> Self {
-        Self::with_vnodes(shards, 40)
-    }
-
-    /// Fully explicit construction: `vnodes` ring points per shard.
-    pub fn with_vnodes(shards: usize, vnodes: usize) -> Self {
-        let (shards, vnodes) = (shards.max(1), vnodes.max(1));
-        let mut ring = Vec::with_capacity(shards * vnodes);
-        for shard in 0..shards as u32 {
-            for v in 0..vnodes as u64 {
-                let mut h = FxHasher::default();
-                h.write_u64(shard as u64);
-                h.write_u64(v);
-                ring.push((h.finish(), shard));
-            }
-        }
-        // Sort by point; a (vanishingly unlikely) point collision
-        // resolves toward the lower shard id, deterministically.
-        ring.sort_unstable();
-        ring.dedup_by_key(|&mut (p, _)| p);
-        ConsistentHashRouter { ring }
-    }
-
-    /// The shard owning the ring successor of `identity`'s hash.
-    fn ring_shard(&self, identity: u64) -> usize {
-        let mut h = FxHasher::default();
-        h.write_u64(identity);
-        let key = h.finish();
-        let i = self.ring.partition_point(|&(p, _)| p < key);
-        let (_, shard) = self.ring[if i == self.ring.len() { 0 } else { i }];
-        shard as usize
-    }
-}
-
-impl ShardRouter for ConsistentHashRouter {
-    fn route_input(&self, input: &SummaryInput, shards: usize) -> usize {
-        self.ring_shard(HashRouter::routing_anchor(input).0 as u64)
-            .min(shards.saturating_sub(1))
-    }
-
-    fn route_session(&self, key: &SessionKey, shards: usize) -> usize {
-        self.ring_shard(key.user).min(shards.saturating_sub(1))
-    }
-}
-
-/// The partitioned-mode router: owner-map lookup on the input's routing
-/// anchor ([`HashRouter::routing_anchor`]) — requests go to the shard
-/// whose partition *owns* their anchor node, which is what makes the
-/// home partition's warm sub-graph the right one for the request.
-/// Sessions route through the same map when it covers the user id and
-/// fall back to [`HashRouter`] hashing otherwise (in partitioned mode
-/// sessions are served coverage-affine regardless; see
-/// [`ShardedEngine::session_summary`]).
-#[derive(Debug, Clone)]
-pub struct PartitionRouter {
-    owner: Arc<Vec<u32>>,
-}
-
-impl PartitionRouter {
-    /// Router over `owner[node] = shard` (an
-    /// [`xsum_kg::PartitionPlan`]'s owner map).
-    pub fn new(owner: Arc<Vec<u32>>) -> Self {
-        PartitionRouter { owner }
-    }
-}
-
-impl ShardRouter for PartitionRouter {
-    fn route_input(&self, input: &SummaryInput, shards: usize) -> usize {
-        let anchor = HashRouter::routing_anchor(input);
-        self.owner
-            .get(anchor.index())
-            .map(|&s| s as usize)
-            .unwrap_or(0)
-            .min(shards.saturating_sub(1))
-    }
-
-    fn route_session(&self, key: &SessionKey, shards: usize) -> usize {
-        match usize::try_from(key.user)
-            .ok()
-            .and_then(|u| self.owner.get(u))
-        {
-            Some(&s) => (s as usize).min(shards.saturating_sub(1)),
-            None => HashRouter.route_session(key, shards),
-        }
     }
 }
 
@@ -385,255 +166,10 @@ struct ShardReplica {
     engine: SummaryEngine,
 }
 
-/// The Steiner config of a certifiable method: only the ST family's
-/// serve path is covered by the local-equivalence proof (module docs);
-/// the PCST methods always escalate to coverage.
-fn certifiable_config(method: BatchMethod) -> Option<SteinerConfig> {
-    match method {
-        BatchMethod::Steiner(cfg) | BatchMethod::SteinerFast(cfg) => Some(cfg),
-        _ => None,
-    }
-}
-
-/// Per-partition certification scratch: reusable buffers for the
-/// certify-or-escalate decision. One per partition replica — the
-/// scatter phase's worker threads are ephemeral, so the scratch lives
-/// with the partition, not with a thread.
-#[derive(Debug)]
-struct CertScratch {
-    ws: DijkstraWorkspace,
-    costs: EdgeCosts,
-    touched: Vec<(EdgeId, u32)>,
-    /// Local Eq. 1 cost models keyed by local-graph epoch (capacity 2:
-    /// the serving config plus one spare).
-    cache: CostModelCache,
-    /// `(local graph epoch, max raw weight bits)` — the local side of
-    /// certification condition #0, cached per epoch.
-    max_bits: Option<(u64, u64)>,
-}
-
-impl CertScratch {
-    fn new() -> Self {
-        CertScratch {
-            ws: DijkstraWorkspace::new(),
-            costs: EdgeCosts(Vec::new()),
-            touched: Vec::new(),
-            cache: CostModelCache::new(2),
-            max_bits: None,
-        }
-    }
-}
-
-/// What one partition produced for its sub-batch: locally served
-/// summaries (by position in the sub-batch, already remapped to parent
-/// ids) plus the positions it escalated to coverage.
-struct PartServe {
-    served: Vec<(usize, Summary)>,
-    escalated: Vec<usize>,
-}
-
-/// One partition shard: the materialized sub-graph replica, the engine
-/// serving it, and the certification scratch.
-#[derive(Debug)]
-struct PartReplica {
-    part: Partition,
-    engine: SummaryEngine,
-    cert: CertScratch,
-}
-
-impl PartReplica {
-    /// Serve one partition's sub-batch: certify each input, serve the
-    /// certified ones locally in one engine batch (remapping ids in and
-    /// out), and report the rest as escalations.
-    fn serve_local(
-        &mut self,
-        sub: &[&SummaryInput],
-        method: BatchMethod,
-        cfg: &SteinerConfig,
-        global_max_bits: u64,
-        global: &Graph,
-    ) -> PartServe {
-        let mut local_inputs: Vec<SummaryInput> = Vec::new();
-        let mut local_pos: Vec<usize> = Vec::new();
-        let mut escalated: Vec<usize> = Vec::new();
-        for (k, input) in sub.iter().enumerate() {
-            match self.certify(input, cfg, global_max_bits) {
-                Some(local) => {
-                    local_pos.push(k);
-                    local_inputs.push(local);
-                }
-                None => escalated.push(k),
-            }
-        }
-        if local_inputs.is_empty() {
-            return PartServe {
-                served: Vec::new(),
-                escalated,
-            };
-        }
-        let refs: Vec<&SummaryInput> = local_inputs.iter().collect();
-        let out = self
-            .engine
-            .summarize_batch_refs(self.part.graph(), &refs, method);
-        let served = local_pos
-            .into_iter()
-            .zip(out.into_iter().map(|s| self.remap_summary(global, s)))
-            .collect();
-        PartServe { served, escalated }
-    }
-
-    /// The certify-or-escalate decision for one input (module docs,
-    /// "Partitioned topology"): returns the partition-local remap of
-    /// `input` iff the local serve is provably bit-identical to the
-    /// full-graph serve under `cfg`.
-    fn certify(
-        &mut self,
-        input: &SummaryInput,
-        cfg: &SteinerConfig,
-        global_max_bits: u64,
-    ) -> Option<SummaryInput> {
-        let part = &self.part;
-        let g = part.graph();
-        // #0 — identical cost anchor: Eq. 1's transform is anchored on
-        // the graph's maximum *raw* weight, so the local cost table can
-        // only match the global one if the maxima agree bit-for-bit.
-        let epoch = g.epoch();
-        let local_bits = match self.cert.max_bits {
-            Some((e, b)) if e == epoch => b,
-            _ => {
-                let b = g
-                    .edge_ids()
-                    .map(|e| g.weight(e))
-                    .fold(0.0f64, f64::max)
-                    .to_bits();
-                self.cert.max_bits = Some((epoch, b));
-                b
-            }
-        };
-        if local_bits != global_max_bits {
-            return None;
-        }
-        // #1 — feasibility: every terminal and every explanation-path
-        // node must be contained (the partition is induced, so every
-        // grounded hop between contained endpoints is contained too).
-        let mut terminals = Vec::with_capacity(input.terminals.len());
-        for &t in &input.terminals {
-            terminals.push(part.to_local(t)?);
-        }
-        let mut paths = Vec::with_capacity(input.paths.len());
-        for p in &input.paths {
-            let mut nodes = Vec::with_capacity(p.nodes().len());
-            for &v in p.nodes() {
-                nodes.push(part.to_local(v)?);
-            }
-            let hops = p
-                .hops()
-                .iter()
-                .map(|h| match h {
-                    Some(e) => part.to_local_edge(*e).map(Some),
-                    None => Some(None),
-                })
-                .collect::<Option<Vec<_>>>()?;
-            paths.push(LoosePath::from_parts(nodes, hops)?);
-        }
-        // The remap is monotone, so the terminals stay sorted-deduped
-        // and every id tie-break below matches the global run.
-        let local = SummaryInput {
-            scenario: input.scenario,
-            terminals,
-            paths,
-            anchor_count: input.anchor_count,
-        };
-        // #2 — build the exact patched cost table the engine will
-        // search (base model cached per local epoch).
-        let (_, model) = self.cert.cache.get(g, cfg);
-        model.copy_base_into(&mut self.cert.costs);
-        model.patch(g, &local, &mut self.cert.costs, &mut self.cert.touched);
-        // #3 — terminal-diameter bound: one Dijkstra from the first
-        // terminal; D_ub = 2·max distance bounds every terminal-pair
-        // distance through the triangle inequality. A terminal that is
-        // locally unreachable escalates.
-        let (&s0, rest) = local.terminals.split_first()?;
-        self.cert.ws.run(g, &self.cert.costs, s0, rest);
-        let mut dmax = 0.0f64;
-        for &t in rest {
-            dmax = dmax.max(self.cert.ws.distance(t)?);
-        }
-        let d_ub = 2.0 * dmax;
-        // #4 — boundary safety: a path escaping the partition pays its
-        // first-exit prefix entirely locally, so if every terminal-
-        // reachable boundary node lies strictly beyond D_ub, no global
-        // shortest structure within the terminal diameter can leave the
-        // partition. Boundary nodes locally unreachable from the
-        // terminal set can never be a first exit — they certify
-        // vacuously.
-        if !part.boundary_local().is_empty() {
-            self.cert
-                .ws
-                .run_voronoi(g, &self.cert.costs, &local.terminals);
-            for &b in part.boundary_local() {
-                if let Some(d) = self.cert.ws.distance(b) {
-                    if d <= d_ub {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(local)
-    }
-
-    /// Remap a partition-local summary back to parent ids (`global` is
-    /// the coverage graph, used only to resolve edge endpoints).
-    fn remap_summary(&self, global: &Graph, s: Summary) -> Summary {
-        let part = &self.part;
-        let mut subgraph = Subgraph::new();
-        for &e in s.subgraph.edges() {
-            subgraph.insert_edge(global, part.to_global_edge(e));
-        }
-        for &n in s.subgraph.nodes() {
-            subgraph.insert_node(part.to_global(n));
-        }
-        Summary {
-            method: s.method,
-            scenario: s.scenario,
-            subgraph,
-            terminals: s.terminals.iter().map(|&t| part.to_global(t)).collect(),
-        }
-    }
-}
-
-/// The partitioned-topology state of a [`ShardedEngine`] (module docs):
-/// true sub-graph replicas plus the designated full-graph coverage
-/// replica.
-#[derive(Debug)]
-struct PartitionedState {
-    parts: Vec<PartReplica>,
-    /// The designated full-graph replica: serves escalations, owns the
-    /// session store, and is the mutation authority.
-    coverage: ShardReplica,
-    /// `owner[node] = shard` of the current plan (shared with the
-    /// installed [`PartitionRouter`]).
-    owner: Arc<Vec<u32>>,
-    /// Edge count of the graph the plan was computed for — the
-    /// structural-drift detector of the mutation sync.
-    edge_count: usize,
-    /// The partitioning recipe, for deterministic rebuilds after
-    /// structural mutations.
-    seed: u64,
-    pcfg: PartitionerConfig,
-    hcfg: PartitionConfig,
-    /// Requests served partition-locally / escalated to coverage.
-    local_serves: u64,
-    coverage_serves: u64,
-    /// `(authority epoch, max raw weight bits)` — the global side of
-    /// certification condition #0, cached per epoch.
-    global_max_bits: Option<(u64, u64)>,
-}
-
 pub use crate::breaker::{BreakerState, CircuitBreaker, CircuitConfig};
 
 /// A sharded serving front-end: N [`SummaryEngine`] replicas, each over
-/// its own graph replica, behind a [`ShardRouter`] (see module docs).
+/// its own graph replica, behind a [`HashRouter`] (see module docs).
 ///
 /// Unlike [`SummaryEngine`], whose methods take the graph per call, a
 /// `ShardedEngine` *owns* its graph replicas — constructed by cloning
@@ -658,7 +194,6 @@ pub use crate::breaker::{BreakerState, CircuitBreaker, CircuitConfig};
 #[derive(Debug)]
 pub struct ShardedEngine {
     replicas: Vec<ShardReplica>,
-    router: Box<dyn ShardRouter>,
     /// Per-replica circuit-breaker state, parallel to `replicas`.
     health: Vec<CircuitBreaker>,
     circuit: CircuitConfig,
@@ -670,10 +205,6 @@ pub struct ShardedEngine {
     /// after every successful mutation, the restore point of
     /// [`ShardedEngine::resync_replicas`].
     last_good: Graph,
-    /// `Some` in partitioned-replica mode (module docs, "Partitioned
-    /// topology"); `None` in the default full-replica mode, where
-    /// `replicas` holds the full clones.
-    partitioned: Option<Box<PartitionedState>>,
 }
 
 impl ShardedEngine {
@@ -686,16 +217,6 @@ impl ShardedEngine {
 
     /// [`ShardedEngine::new`] with an explicit per-shard worker count.
     pub fn with_threads(g: &Graph, shards: usize, threads_per_shard: usize) -> Self {
-        Self::with_router(g, shards, threads_per_shard, Box::new(HashRouter))
-    }
-
-    /// Fully explicit construction with a custom [`ShardRouter`].
-    pub fn with_router(
-        g: &Graph,
-        shards: usize,
-        threads_per_shard: usize,
-        router: Box<dyn ShardRouter>,
-    ) -> Self {
         // Freeze before cloning: the CSR is `Clone`, so every replica
         // starts with the adjacency already built (one build, N memcpys)
         // and an *identical epoch* to the seed — replicas only fork
@@ -715,206 +236,50 @@ impl ShardedEngine {
             faults: None,
             last_good: g.clone(),
             replicas,
-            router,
-            partitioned: None,
         }
     }
 
-    /// A partitioned engine over true sub-graph replicas of `g`:
-    /// `shards` partitions from the deterministic Voronoi partitioner
-    /// ([`xsum_kg::partition_nodes`]; hash-spread seeds, vertex-cut
-    /// hubs), each materialized with a 1-hop halo, plus one designated
-    /// full-graph **coverage** replica, dividing [`num_threads`] evenly
-    /// across all of them.
-    ///
-    /// Same serving contract as the full-replica mode — outputs stay
-    /// bit-identical to a single [`SummaryEngine`] — but per-shard
-    /// memory is O(|partition|) instead of O(|G|): requests are served
-    /// inside their home partition whenever the certify-or-escalate
-    /// check proves the local result identical, and on the coverage
-    /// replica otherwise ([`ShardedEngine::partition_stats`] reports
-    /// the split).
-    ///
-    /// # Panics
-    /// Panics if `g` has fewer nodes than `shards` (the partitioner
-    /// needs one seed per shard).
-    pub fn new_partitioned(g: &Graph, shards: usize, seed: u64) -> Self {
-        let shards = shards.max(1);
-        Self::partitioned_with(
-            g,
-            shards,
-            seed,
-            (num_threads() / (shards + 1)).max(1),
-            PartitionerConfig::default(),
-            PartitionConfig::default(),
-        )
-    }
-
-    /// [`ShardedEngine::new_partitioned`] with explicit per-shard
-    /// worker count and partitioning knobs.
-    pub fn partitioned_with(
-        g: &Graph,
-        shards: usize,
-        seed: u64,
-        threads_per_shard: usize,
-        pcfg: PartitionerConfig,
-        hcfg: PartitionConfig,
-    ) -> Self {
-        g.freeze();
-        let shards = shards.max(1);
-        let plan = partition_nodes(g, shards, seed, &pcfg);
-        let parts: Vec<PartReplica> = plan
-            .residents
-            .iter()
-            .map(|res| PartReplica {
-                part: Partition::build(g, res, &hcfg),
-                engine: SummaryEngine::with_threads(threads_per_shard.max(1)),
-                cert: CertScratch::new(),
-            })
-            .collect();
-        let coverage = ShardReplica {
-            graph: g.clone(),
-            engine: SummaryEngine::with_threads(threads_per_shard.max(1)),
-        };
-        let owner = Arc::new(plan.owner);
-        let circuit = CircuitConfig::default();
-        ShardedEngine {
-            health: vec![CircuitBreaker::new(circuit); shards],
-            circuit,
-            serve_clock: 0,
-            faults: None,
-            last_good: g.clone(),
-            replicas: Vec::new(),
-            router: Box::new(PartitionRouter::new(owner.clone())),
-            partitioned: Some(Box::new(PartitionedState {
-                parts,
-                coverage,
-                owner,
-                edge_count: g.edge_count(),
-                seed,
-                pcfg,
-                hcfg,
-                local_serves: 0,
-                coverage_serves: 0,
-                global_max_bits: None,
-            })),
-        }
-    }
-
-    /// Number of shard replicas (partitions in partitioned mode — the
-    /// coverage replica is not a routable shard).
+    /// Number of shard replicas.
     pub fn shards(&self) -> usize {
-        match &self.partitioned {
-            Some(p) => p.parts.len(),
-            None => self.replicas.len(),
-        }
-    }
-
-    /// Whether this engine runs the partitioned topology.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned.is_some()
+        self.replicas.len()
     }
 
     /// The shard `input` routes to.
     pub fn shard_of_input(&self, input: &SummaryInput) -> usize {
-        let n = self.shards();
-        self.router.route_input(input, n).min(n - 1)
+        HashRouter.route_input(input, self.shards())
     }
 
     /// The shard owning `key`'s session.
     pub fn shard_of_session(&self, key: &SessionKey) -> usize {
-        let n = self.shards();
-        self.router.route_session(key, n).min(n - 1)
+        HashRouter.route_session(key, self.shards())
     }
 
-    /// The full-content graph of one shard. In full-replica mode this
-    /// is the shard's own clone (shards are content-identical). In
-    /// partitioned mode the per-shard graphs are *sub-graphs* under
-    /// partition-local ids — handing one out as "the graph" would be a
-    /// lie — so this accessor stays honest and returns the coverage
-    /// replica's full graph (global ids, full content) for every shard
-    /// index; use [`ShardedEngine::partition`] to inspect a shard's
-    /// actual sub-graph replica.
+    /// The graph replica of one shard (shards are content-identical).
     pub fn graph(&self, shard: usize) -> &Graph {
-        debug_assert!(shard < self.shards(), "shard {shard} out of range");
-        match &self.partitioned {
-            Some(p) => &p.coverage.graph,
-            None => &self.replicas[shard].graph,
-        }
+        &self.replicas[shard].graph
     }
 
-    /// The materialized sub-graph partition of one shard (`None` in
-    /// full-replica mode).
-    pub fn partition(&self, shard: usize) -> Option<&Partition> {
-        self.partitioned.as_ref().map(|p| &p.parts[shard].part)
-    }
-
-    /// The designated coverage replica's full graph (`None` in
-    /// full-replica mode, where every shard is coverage).
-    pub fn coverage_graph(&self) -> Option<&Graph> {
-        self.partitioned.as_ref().map(|p| &p.coverage.graph)
-    }
-
-    /// `(local, coverage)` serve counts of the partitioned topology:
-    /// how many requests were certified and served inside their home
-    /// partition vs escalated to the coverage replica. Both zero in
-    /// full-replica mode. The cross-shard fraction
-    /// `coverage / (local + coverage)` is the honesty metric
-    /// `repro bench_shard` reports.
-    pub fn partition_stats(&self) -> (u64, u64) {
-        match &self.partitioned {
-            Some(p) => (p.local_serves, p.coverage_serves),
-            None => (0, 0),
-        }
-    }
-
-    /// The session store of one shard's replica engine. Sessions are
-    /// **coverage-affine** in partitioned mode — incremental session
-    /// state needs the full graph — so there every shard index resolves
-    /// to the coverage replica's store.
+    /// The session store of one shard's replica engine.
     pub fn sessions(&mut self, shard: usize) -> &mut SessionStore {
-        debug_assert!(shard < self.shards(), "shard {shard} out of range");
-        match &mut self.partitioned {
-            Some(p) => p.coverage.engine.sessions(),
-            None => self.replicas[shard].engine.sessions(),
-        }
+        self.replicas[shard].engine.sessions()
     }
 
-    /// Per-shard `(hits, misses)` of the replicas' cost-model caches
-    /// (partitioned mode appends the coverage replica's stats last).
+    /// Per-shard `(hits, misses)` of the replicas' cost-model caches.
     pub fn cost_cache_stats(&self) -> Vec<(u64, u64)> {
-        match &self.partitioned {
-            Some(p) => p
-                .parts
-                .iter()
-                .map(|r| r.engine.cost_cache_stats())
-                .chain(std::iter::once(p.coverage.engine.cost_cache_stats()))
-                .collect(),
-            None => self
-                .replicas
-                .iter()
-                .map(|r| r.engine.cost_cache_stats())
-                .collect(),
-        }
+        self.replicas
+            .iter()
+            .map(|r| r.engine.cost_cache_stats())
+            .collect()
     }
 
     /// Per-shard count of cost models patched across a weight-only
     /// delta instead of rebuilt (same ordering as
     /// [`ShardedEngine::cost_cache_stats`]).
     pub fn cost_cache_patches(&self) -> Vec<u64> {
-        match &self.partitioned {
-            Some(p) => p
-                .parts
-                .iter()
-                .map(|r| r.engine.cost_cache_patches())
-                .chain(std::iter::once(p.coverage.engine.cost_cache_patches()))
-                .collect(),
-            None => self
-                .replicas
-                .iter()
-                .map(|r| r.engine.cost_cache_patches())
-                .collect(),
-        }
+        self.replicas
+            .iter()
+            .map(|r| r.engine.cost_cache_patches())
+            .collect()
     }
 
     /// Forward
@@ -924,14 +289,6 @@ impl ShardedEngine {
     pub fn set_metric_closure_threshold(&mut self, min_terminals: usize) {
         for r in &mut self.replicas {
             r.engine.set_metric_closure_threshold(min_terminals);
-        }
-        if let Some(p) = &mut self.partitioned {
-            for part in &mut p.parts {
-                part.engine.set_metric_closure_threshold(min_terminals);
-            }
-            p.coverage
-                .engine
-                .set_metric_closure_threshold(min_terminals);
         }
     }
 
@@ -956,15 +313,6 @@ impl ShardedEngine {
     pub fn set_fault_injector(&mut self, faults: Option<Arc<FaultInjector>>) {
         for r in &mut self.replicas {
             r.engine
-                .set_fault_hook(faults.as_ref().map(|i| i.pool_hook()));
-        }
-        if let Some(p) = &mut self.partitioned {
-            for part in &mut p.parts {
-                part.engine
-                    .set_fault_hook(faults.as_ref().map(|i| i.pool_hook()));
-            }
-            p.coverage
-                .engine
                 .set_fault_hook(faults.as_ref().map(|i| i.pool_hook()));
         }
         self.faults = faults;
@@ -1081,12 +429,6 @@ impl ShardedEngine {
     /// functions) on any replica — so breaker-driven re-routing and
     /// failover cannot change the answer, only who computes it.
     pub fn summarize(&mut self, input: &SummaryInput, method: BatchMethod) -> Summary {
-        if self.partitioned.is_some() {
-            return self
-                .serve_partitioned_batch(std::slice::from_ref(input), method)
-                .pop()
-                .expect("one input yields one summary");
-        }
         self.tick();
         let primary = self.healthy_or(self.shard_of_input(input));
         match self.serve_with_faults(primary, std::slice::from_ref(&input), method) {
@@ -1139,9 +481,6 @@ impl ShardedEngine {
         if inputs.is_empty() {
             return Vec::new();
         }
-        if self.partitioned.is_some() {
-            return self.serve_partitioned_batch(inputs, method);
-        }
         let n = self.replicas.len();
         self.tick();
         if n == 1 {
@@ -1165,7 +504,7 @@ impl ShardedEngine {
         // this is exactly the router's plan).
         let mut plan: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, input) in inputs.iter().enumerate() {
-            let home = self.router.route_input(input.borrow(), n).min(n - 1);
+            let home = HashRouter.route_input(input.borrow(), n);
             plan[self.healthy_or(home)].push(i);
         }
         let subs: Vec<Vec<&SummaryInput>> = plan
@@ -1229,153 +568,6 @@ impl ShardedEngine {
         pairs.into_iter().map(|(_, s)| s).collect()
     }
 
-    /// The partitioned scatter/gather (module docs, "Partitioned
-    /// topology"): each home partition certifies and serves its
-    /// sub-batch concurrently, then the coverage replica batch-serves
-    /// everything escalated. Output is bit-identical to a single
-    /// [`SummaryEngine`] serving the same batch — certified local
-    /// serves are *proven* identical, and everything else runs on the
-    /// full coverage graph.
-    fn serve_partitioned_batch<T>(&mut self, inputs: &[T], method: BatchMethod) -> Vec<Summary>
-    where
-        T: std::borrow::Borrow<SummaryInput> + Sync,
-    {
-        self.tick();
-        let n = self.shards();
-        let cert_cfg = certifiable_config(method);
-        // Scatter: inputs go to their owning partition; a
-        // non-certifiable method (the PCST family) and inputs homed on
-        // an open-breaker partition go straight to coverage — a
-        // partition cannot serve another partition's requests, so
-        // coverage is the only failover target.
-        let mut plan: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut coverage_idx: Vec<usize> = Vec::new();
-        for (i, input) in inputs.iter().enumerate() {
-            let home = self.router.route_input(input.borrow(), n).min(n - 1);
-            if cert_cfg.is_some() && self.health[home].admits() {
-                plan[home].push(i);
-            } else {
-                coverage_idx.push(i);
-            }
-        }
-        let state = self.partitioned.as_mut().expect("partitioned mode");
-        // Global side of certification condition #0, once per epoch.
-        let global_max_bits = {
-            let g = &state.coverage.graph;
-            let epoch = g.epoch();
-            match state.global_max_bits {
-                Some((e, b)) if e == epoch => b,
-                _ => {
-                    let b = g
-                        .edge_ids()
-                        .map(|e| g.weight(e))
-                        .fold(0.0f64, f64::max)
-                        .to_bits();
-                    state.global_max_bits = Some((epoch, b));
-                    b
-                }
-            }
-        };
-        // Partition phase: the same static replica↔sub-batch pairing as
-        // the full-replica scatter, with the certify-or-escalate
-        // decision running inside each partition's dispatch.
-        let subs: Vec<Vec<&SummaryInput>> = plan
-            .iter()
-            .map(|indices| indices.iter().map(|&i| inputs[i].borrow()).collect())
-            .collect();
-        let coverage_graph = &state.coverage.graph;
-        let mut busy: Vec<&mut PartReplica> = Vec::new();
-        let mut busy_subs: Vec<&[&SummaryInput]> = Vec::new();
-        let mut busy_idx: Vec<usize> = Vec::new();
-        for (shard, (p, sub)) in state.parts.iter_mut().zip(&subs).enumerate() {
-            if !sub.is_empty() {
-                busy.push(p);
-                busy_subs.push(sub);
-                busy_idx.push(shard);
-            }
-        }
-        let faults = self.faults.clone();
-        let cfg = cert_cfg.unwrap_or_default();
-        let per_part: Vec<Result<PartServe, EngineError>> =
-            parallel_zip_map(&mut busy, &busy_subs, |p, sub| {
-                if let Some(inj) = &faults {
-                    if let Some(kind) = inj.fire(FaultSite::ShardServe) {
-                        match kind {
-                            FaultKind::Panic | FaultKind::Transient => {
-                                return Err(EngineError::from_message(
-                                    "injected shard-serve fault",
-                                ));
-                            }
-                            FaultKind::Delay => inj.sleep_if_delay(kind),
-                        }
-                    }
-                }
-                catch_unwind(AssertUnwindSafe(|| {
-                    p.serve_local(sub, method, &cfg, global_max_bits, coverage_graph)
-                }))
-                .map_err(EngineError::from_panic)
-            });
-        // Gather the partition phase: certified serves keep their
-        // original positions; escalations — including the whole
-        // sub-batch of a failed partition — join the coverage batch.
-        let mut pairs: Vec<(usize, Summary)> = Vec::with_capacity(inputs.len());
-        let mut health_updates: Vec<(usize, bool)> = Vec::with_capacity(per_part.len());
-        for (k, res) in per_part.into_iter().enumerate() {
-            let shard = busy_idx[k];
-            match res {
-                Ok(ps) => {
-                    health_updates.push((shard, true));
-                    for (pos, s) in ps.served {
-                        pairs.push((plan[shard][pos], s));
-                    }
-                    for pos in ps.escalated {
-                        coverage_idx.push(plan[shard][pos]);
-                    }
-                }
-                Err(_) => {
-                    health_updates.push((shard, false));
-                    coverage_idx.extend(plan[shard].iter().copied());
-                }
-            }
-        }
-        state.local_serves += pairs.len() as u64;
-        state.coverage_serves += coverage_idx.len() as u64;
-        // Coverage phase: one batch over everything escalated. Like the
-        // single-shard full-replica path, it retries once (the failure
-        // may have been an injected pool fault) and then gives up
-        // loudly — there is no second full replica to fail over to.
-        if !coverage_idx.is_empty() {
-            coverage_idx.sort_unstable();
-            let cov_refs: Vec<&SummaryInput> =
-                coverage_idx.iter().map(|&i| inputs[i].borrow()).collect();
-            let cov = &mut state.coverage;
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                cov.engine
-                    .summarize_batch_refs(&cov.graph, &cov_refs, method)
-            }))
-            .or_else(|_| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    cov.engine
-                        .summarize_batch_refs(&cov.graph, &cov_refs, method)
-                }))
-            });
-            let out = match out {
-                Ok(v) => v,
-                Err(payload) => panic!("{}", EngineError::from_panic(payload).message()),
-            };
-            pairs.extend(coverage_idx.into_iter().zip(out));
-        }
-        for (shard, ok) in health_updates {
-            if ok {
-                self.health[shard].record_success();
-            } else {
-                self.health[shard].record_failure(self.serve_clock);
-            }
-        }
-        pairs.sort_unstable_by_key(|(i, _)| *i);
-        pairs.into_iter().map(|(_, s)| s).collect()
-    }
-
     /// [`ShardedEngine::summarize_batch`] with worker panics surfaced
     /// as a recoverable [`EngineError`]; every replica stays
     /// serviceable afterwards (see
@@ -1401,23 +593,7 @@ impl ShardedEngine {
     /// epochs themselves need not be numerically equal across replicas
     /// (they are process-globally unique and never compared across
     /// graphs).
-    ///
-    /// In partitioned mode `f` runs **once**, on the coverage graph
-    /// (the mutation authority), and the partitions then sync from it:
-    /// weight changes propagate edge-by-edge to the owning partition
-    /// and every halo copy; structural changes trigger a deterministic
-    /// re-partition (same seed ⇒ same plan for the same graph).
     pub fn mutate(&mut self, mut f: impl FnMut(&mut Graph)) {
-        if self.partitioned.is_some() {
-            {
-                let state = self.partitioned.as_mut().expect("partitioned mode");
-                f(&mut state.coverage.graph);
-            }
-            self.sync_partitions();
-            let state = self.partitioned.as_mut().expect("partitioned mode");
-            self.last_good = state.coverage.graph.clone();
-            return;
-        }
         for r in &mut self.replicas {
             f(&mut r.graph);
         }
@@ -1434,23 +610,7 @@ impl ShardedEngine {
     /// [`ShardedEngine::resync_replicas`] to restore coherence before
     /// serving again. This is the admission queue's mutation-barrier
     /// seam ([`AdmissionBackend::mutate_graph`](crate::admission::AdmissionBackend::mutate_graph)).
-    ///
-    /// In partitioned mode the closure runs only on the coverage
-    /// authority; on failure the partitions are *not* synced (the
-    /// authority may be half-mutated) and the same
-    /// [`ShardedEngine::resync_replicas`] recovery applies.
     pub fn try_mutate(&mut self, f: &mut dyn FnMut(&mut Graph)) -> Result<(), EngineError> {
-        if self.partitioned.is_some() {
-            {
-                let state = self.partitioned.as_mut().expect("partitioned mode");
-                catch_unwind(AssertUnwindSafe(|| f(&mut state.coverage.graph)))
-                    .map_err(EngineError::from_panic)?;
-            }
-            self.sync_partitions();
-            let state = self.partitioned.as_mut().expect("partitioned mode");
-            self.last_good = state.coverage.graph.clone();
-            return Ok(());
-        }
         for r in &mut self.replicas {
             catch_unwind(AssertUnwindSafe(|| f(&mut r.graph))).map_err(EngineError::from_panic)?;
         }
@@ -1466,83 +626,15 @@ impl ShardedEngine {
     /// cost-model cache and session store remain valid for exactly the
     /// state being served. Breaker states are left untouched; they
     /// track serve health, not mutation coherence.
-    ///
-    /// In partitioned mode the snapshot restores the coverage
-    /// authority and the partitions re-sync from it, so a failed
-    /// partitioned [`ShardedEngine::try_mutate`] is the same rollback
-    /// no-op.
     pub fn resync_replicas(&mut self) {
         self.last_good.freeze();
-        if self.partitioned.is_some() {
-            {
-                let state = self.partitioned.as_mut().expect("partitioned mode");
-                state.coverage.graph = self.last_good.clone();
-            }
-            self.sync_partitions();
-            return;
-        }
         for r in &mut self.replicas {
             r.graph = self.last_good.clone();
         }
     }
 
-    /// Bring every partition back in line with the coverage authority
-    /// after a mutation (the partitioned-mode propagation barrier; see
-    /// the module docs).
-    ///
-    /// * **Weight drift** (same nodes/edges, some weights changed):
-    ///   each partition bit-compares its local copies against the
-    ///   authority and rewrites only the edges that actually differ —
-    ///   untouched partitions take no write and keep their mutation
-    ///   epoch (and thus their warm cost-model cache).
-    /// * **Structural drift** (nodes or edges added): the partition
-    ///   plan is recomputed from the authority with the original seed
-    ///   (deterministic — the same post-mutation graph always yields
-    ///   the same plan), every partition is rebuilt, and the router is
-    ///   replaced with one over the new ownership table.
-    fn sync_partitions(&mut self) {
-        let state = self.partitioned.as_mut().expect("partitioned mode");
-        state.global_max_bits = None;
-        let g = &state.coverage.graph;
-        let structural = g.node_count() != state.owner.len() || g.edge_count() != state.edge_count;
-        if structural {
-            g.freeze();
-            let plan = partition_nodes(g, state.parts.len(), state.seed, &state.pcfg);
-            for (p, res) in state.parts.iter_mut().zip(&plan.residents) {
-                p.part = Partition::build(g, res, &state.hcfg);
-                p.cert.max_bits = None;
-            }
-            state.owner = Arc::new(plan.owner);
-            state.edge_count = g.edge_count();
-            let owner = state.owner.clone();
-            self.router = Box::new(PartitionRouter::new(owner));
-            return;
-        }
-        for p in &mut state.parts {
-            let mut dirty = false;
-            for le in 0..p.part.edge_count() {
-                let le = EdgeId(le as u32);
-                let ge = p.part.to_global_edge(le);
-                let want = g.weight(ge);
-                if p.part.graph().weight(le).to_bits() != want.to_bits() {
-                    p.part.graph_mut().set_weight(le, want);
-                    dirty = true;
-                }
-            }
-            if dirty {
-                p.cert.max_bits = None;
-            }
-        }
-    }
-
     /// Reweight one edge on every replica — the common serving-time
     /// mutation (rating updates feed Eq. 1 through the weights).
-    ///
-    /// In partitioned mode this is the fast path the partition layout
-    /// exists for: the coverage authority applies the write, and only
-    /// the partitions actually holding a copy of `e` (owner + halo)
-    /// take a local write — instead of the full-replica mode's N
-    /// whole-graph applications.
     pub fn set_weight(&mut self, e: EdgeId, weight: f64) {
         self.apply_weight_delta(&[(e, weight)]);
     }
@@ -1554,31 +646,8 @@ impl ShardedEngine {
     /// path. Each graph records the whole batch as **one**
     /// [`Graph::apply_delta`] ledger entry (one epoch bump), so every
     /// downstream cache and session store sees a single covered delta.
-    ///
-    /// In partitioned mode the coverage authority takes the batch, and
-    /// only the partitions actually holding a copy of a touched edge
-    /// (owner + halo) take a targeted local batch; untouched partitions
-    /// keep their mutation epoch — and with it their warm cost-model
-    /// caches and serve certificates. No re-certification, no
-    /// re-partition, no per-edge sync sweep.
     pub fn apply_weight_delta(&mut self, updates: &[(EdgeId, f64)]) {
         if updates.is_empty() {
-            return;
-        }
-        if let Some(state) = self.partitioned.as_mut() {
-            state.coverage.graph.apply_delta(updates);
-            state.global_max_bits = None;
-            for p in &mut state.parts {
-                let local: Vec<(EdgeId, f64)> = updates
-                    .iter()
-                    .filter_map(|&(e, w)| p.part.to_local_edge(e).map(|le| (le, w)))
-                    .collect();
-                if !local.is_empty() {
-                    p.part.graph_mut().apply_delta(&local);
-                    p.cert.max_bits = None;
-                }
-            }
-            self.last_good = state.coverage.graph.clone();
             return;
         }
         for r in &mut self.replicas {
@@ -1591,12 +660,6 @@ impl ShardedEngine {
     /// owns `key`: look up (or start) the session in that replica's
     /// store, attach any new terminals, snapshot. The shard-affine
     /// sibling of [`crate::session::session_summary`].
-    ///
-    /// In partitioned mode sessions are **coverage-affine**: a
-    /// session's terminal set grows across requests and quickly stops
-    /// fitting any one partition, so all session state lives in the
-    /// coverage replica's store (partition-aware sessions are a
-    /// roadmap follow-on).
     pub fn session_summary(
         &mut self,
         key: SessionKey,
@@ -1604,17 +667,6 @@ impl ShardedEngine {
         cfg: &SteinerConfig,
         terminals_in_rank_order: &[NodeId],
     ) -> Summary {
-        if let Some(state) = self.partitioned.as_mut() {
-            let ShardReplica { graph, engine } = &mut state.coverage;
-            return session_summary(
-                engine.sessions(),
-                graph,
-                key,
-                input,
-                cfg,
-                terminals_in_rank_order,
-            );
-        }
         let shard = self.shard_of_session(&key);
         let ShardReplica { graph, engine } = &mut self.replicas[shard];
         session_summary(
@@ -2001,270 +1053,5 @@ mod tests {
         for (w, s) in want.iter().zip(&after) {
             assert_same(w, s);
         }
-    }
-
-    #[test]
-    fn consistent_ring_router_is_deterministic_and_in_range() {
-        for shards in [1usize, 2, 4, 7] {
-            let a = ConsistentHashRouter::new(shards);
-            let b = ConsistentHashRouter::new(shards);
-            for id in 0..500u64 {
-                let key = SessionKey::new(id, "pgpr");
-                let s = a.route_session(&key, shards);
-                assert!(s < shards, "ring routed {id} out of range at {shards}");
-                assert_eq!(
-                    s,
-                    b.route_session(&key, shards),
-                    "ring must be deterministic"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ring_growth_moves_keys_only_to_the_new_shard() {
-        // The consistent-hash contract: growing an N-shard ring to
-        // N + 1 may move a key only onto the NEW shard — never between
-        // two old shards — and must move some (bounded, non-zero
-        // rebalancing).
-        for n in [2usize, 4, 8] {
-            let old = ConsistentHashRouter::new(n);
-            let new = ConsistentHashRouter::new(n + 1);
-            let mut moved = 0usize;
-            for id in 0..4000u64 {
-                let key = SessionKey::new(id, "pgpr");
-                let s_old = old.route_session(&key, n);
-                let s_new = new.route_session(&key, n + 1);
-                if s_new != s_old {
-                    assert_eq!(
-                        s_new, n,
-                        "key {id} moved between old shards {s_old}→{s_new} at n={n}"
-                    );
-                    moved += 1;
-                }
-            }
-            assert!(moved > 0, "the new shard must take over some keys");
-            // Expected share is 1/(n+1); allow generous slack.
-            assert!(
-                moved < 4000 * 3 / (n + 1),
-                "ring moved {moved}/4000 keys at n={n} — far above the 1/(n+1) share"
-            );
-        }
-    }
-
-    #[test]
-    fn partitioned_batch_matches_single_engine() {
-        // The partitioned-mode universal oracle: for every method and
-        // shard count, partitioned serving (certified local serves +
-        // coverage escalations) is bit-identical to one engine on the
-        // full graph. The PCST family always escalates; the Steiner
-        // family exercises the certify-or-escalate split.
-        let (g, inputs) = mixed_inputs();
-        let st = SteinerConfig::default();
-        for method in [
-            BatchMethod::Steiner(st),
-            BatchMethod::SteinerFast(st),
-            BatchMethod::Pcst(PcstConfig::default()),
-        ] {
-            let mut single = SummaryEngine::with_threads(2);
-            let want = single.summarize_batch(&g, &inputs, method);
-            for shards in [1usize, 2, 4] {
-                let mut parted = ShardedEngine::new_partitioned(&g, shards, 42);
-                assert!(parted.is_partitioned());
-                assert_eq!(parted.shards(), shards);
-                let got = parted.summarize_batch(&inputs, method);
-                assert_eq!(got.len(), want.len());
-                for (w, s) in want.iter().zip(&got) {
-                    assert_same(w, s);
-                }
-                for input in &inputs {
-                    assert_same(&parted.summarize(input, method), &method.run(&g, input));
-                }
-                // Every serve is accounted exactly once, locally or on
-                // coverage: one batch plus the singles loop above.
-                let (local, coverage) = parted.partition_stats();
-                assert_eq!(
-                    local + coverage,
-                    (inputs.len() * 2) as u64,
-                    "partition_stats must account for every serve"
-                );
-            }
-        }
-    }
-
-    /// Two weight-identical communities with no edges between them:
-    /// a partitioning that separates them has empty boundaries and
-    /// equal local/global maximum weights, so every community-local
-    /// request certifies and serves inside its home partition.
-    fn two_communities() -> (Graph, Vec<SummaryInput>) {
-        use xsum_graph::{EdgeKind, LoosePath, NodeKind};
-        let mut g = Graph::new();
-        let mut inputs = Vec::new();
-        for _c in 0..2 {
-            let users: Vec<NodeId> = (0..4).map(|_| g.add_node(NodeKind::User)).collect();
-            let items: Vec<NodeId> = (0..4).map(|_| g.add_node(NodeKind::Item)).collect();
-            for i in 0..4 {
-                g.add_edge(
-                    users[i],
-                    items[i],
-                    1.0 + i as f64 * 0.1,
-                    EdgeKind::Interaction,
-                );
-                g.add_edge(items[i], users[(i + 1) % 4], 0.5, EdgeKind::Interaction);
-            }
-            // Identical per-community maximum weight — certification
-            // condition #0 (local max bits == global max bits) holds in
-            // both partitions.
-            g.add_edge(users[0], items[2], 2.0, EdgeKind::Interaction);
-            let path = LoosePath::ground(&g, vec![users[0], items[0], users[1]]);
-            inputs.push(SummaryInput::user_centric(users[0], vec![path]));
-            let path2 = LoosePath::ground(&g, vec![users[2], items[2], users[3]]);
-            inputs.push(SummaryInput::user_centric(users[2], vec![path2]));
-        }
-        (g, inputs)
-    }
-
-    #[test]
-    fn separated_communities_serve_inside_their_partitions() {
-        let (g, inputs) = two_communities();
-        let n = g.node_count();
-        let community = |v: usize| v / (n / 2);
-        // The partitioner is deterministic, so scan for a seed whose
-        // two Voronoi seeds land one per community — then each BFS
-        // claims exactly its community and the cut is empty.
-        let seed = (0..64u64)
-            .find(|&s| {
-                let plan = partition_nodes(&g, 2, s, &PartitionerConfig::default());
-                (0..n).all(|v| plan.owner[v] == plan.owner[community(v) * (n / 2)])
-                    && plan.owner[0] != plan.owner[n / 2]
-            })
-            .expect("some seed must separate two equal disjoint communities");
-        let mut parted = ShardedEngine::partitioned_with(
-            &g,
-            2,
-            seed,
-            1,
-            PartitionerConfig::default(),
-            PartitionConfig::default(),
-        );
-        let method = BatchMethod::Steiner(SteinerConfig::default());
-        let want: Vec<Summary> = inputs.iter().map(|i| method.run(&g, i)).collect();
-        let got = parted.summarize_batch(&inputs, method);
-        for (w, s) in want.iter().zip(&got) {
-            assert_same(w, s);
-        }
-        let (local, coverage) = parted.partition_stats();
-        assert_eq!(
-            (local, coverage),
-            (inputs.len() as u64, 0),
-            "all community-local requests must certify and serve locally"
-        );
-    }
-
-    #[test]
-    fn partitioned_mutation_stays_coherent() {
-        let (g, inputs) = two_communities();
-        let method = BatchMethod::Steiner(SteinerConfig::default());
-        let mut parted = ShardedEngine::new_partitioned(&g, 2, 42);
-        let e = EdgeId(0);
-
-        // Weight fast path: authority + owning/halo copies only.
-        parted.set_weight(e, 9.5);
-        let mut reference = g.clone();
-        reference.set_weight(e, 9.5);
-        let mut single = SummaryEngine::with_threads(1);
-        let want = single.summarize_batch(&reference, &inputs, method);
-        let got = parted.summarize_batch(&inputs, method);
-        for (w, s) in want.iter().zip(&got) {
-            assert_same(w, s);
-        }
-
-        // Closure path: mutate once on the authority, sync partitions.
-        parted.mutate(|g| g.set_weight(e, 0.25));
-        reference.set_weight(e, 0.25);
-        let want = single.summarize_batch(&reference, &inputs, method);
-        let got = parted.summarize_batch(&inputs, method);
-        for (w, s) in want.iter().zip(&got) {
-            assert_same(w, s);
-        }
-    }
-
-    #[test]
-    fn partitioned_failed_mutation_is_a_rollback_noop_after_resync() {
-        let (g, inputs) = mixed_inputs();
-        let method = BatchMethod::Steiner(SteinerConfig::default());
-        let mut parted = ShardedEngine::new_partitioned(&g, 2, 42);
-        let want = parted.summarize_batch(&inputs, method);
-
-        let err = parted.try_mutate(&mut |g: &mut Graph| {
-            g.set_weight(EdgeId(0), 123.0);
-            panic!("mutation torn on the authority");
-        });
-        assert!(
-            err.is_err(),
-            "a panicking mutation must surface as an error"
-        );
-
-        parted.resync_replicas();
-        let after = parted.summarize_batch(&inputs, method);
-        for (w, s) in want.iter().zip(&after) {
-            assert_same(w, s);
-        }
-        assert_eq!(
-            parted
-                .coverage_graph()
-                .expect("partitioned")
-                .weight(EdgeId(0)),
-            g.weight(EdgeId(0)),
-            "the half-applied write must roll back on the authority"
-        );
-    }
-
-    #[test]
-    fn partitioned_accessors_are_honest() {
-        let (g, _) = mixed_inputs();
-        let parted = ShardedEngine::new_partitioned(&g, 2, 42);
-        assert!(parted.is_partitioned());
-        let cov = parted.coverage_graph().expect("partitioned mode");
-        assert_eq!(cov.node_count(), g.node_count());
-        for shard in 0..2 {
-            // `graph(shard)` stays honest: the full coverage graph, not
-            // a sub-graph masquerading as one.
-            assert_eq!(parted.graph(shard).node_count(), g.node_count());
-            assert_eq!(parted.graph(shard).edge_count(), g.edge_count());
-            // `partition(shard)` is the true sub-graph replica.
-            let p = parted.partition(shard).expect("partitioned mode");
-            assert!(p.resident_count() >= 1);
-            assert!(p.node_count() <= g.node_count());
-            assert!(p.graph().resident_bytes() <= g.resident_bytes());
-        }
-        // Full-replica mode answers the partitioned probes with None.
-        let full = ShardedEngine::with_threads(&g, 2, 1);
-        assert!(!full.is_partitioned());
-        assert!(full.coverage_graph().is_none());
-        assert!(full.partition(0).is_none());
-        assert_eq!(full.partition_stats(), (0, 0));
-    }
-
-    #[test]
-    fn partitioned_sessions_are_coverage_affine() {
-        let ex = table1_example();
-        let input = ex.input();
-        let cfg = SteinerConfig::default();
-        let mut parted = ShardedEngine::new_partitioned(&ex.graph, 2, 42);
-        let key = SessionKey::new(7, "pgpr");
-        for round in 1..=3usize {
-            parted.session_summary(
-                key.clone(),
-                &input,
-                &cfg,
-                &input.terminals[..round.min(input.terminals.len())],
-            );
-        }
-        // All rounds resumed one session in the coverage store; both
-        // shard views alias it.
-        assert_eq!(parted.sessions(0).misses(), 1);
-        assert_eq!(parted.sessions(0).hits(), 2);
-        assert_eq!(parted.sessions(1).len(), parted.sessions(0).len());
     }
 }

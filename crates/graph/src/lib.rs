@@ -54,7 +54,6 @@ pub mod loosepath;
 pub mod mst;
 pub mod pagerank;
 pub mod parallel;
-pub mod partition;
 pub mod path;
 pub mod pool;
 pub mod subgraph;
@@ -72,7 +71,6 @@ pub use loosepath::LoosePath;
 pub use mst::{kruskal, prim, prim_with, MstEdge, PrimWorkspace};
 pub use pagerank::{pagerank, PageRankConfig};
 pub use parallel::{num_threads, parallel_map, parallel_map_with, parallel_zip_map};
-pub use partition::{Partition, PartitionConfig};
 pub use path::Path;
 pub use pool::{DispatchHook, InFlightJob, WorkerPool};
 pub use subgraph::Subgraph;

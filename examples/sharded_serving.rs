@@ -3,7 +3,7 @@
 //! A single `SummaryEngine` serves one worker pool, one cost-model
 //! cache, and one session store. `ShardedEngine` scales that shape
 //! horizontally: N engine replicas over N full graph replicas, a
-//! `ShardRouter` pinning each user to a home shard (sessions stay
+//! `HashRouter` pinning each user to a home shard (sessions stay
 //! warm), a scatter/gather planner for mixed batches, and coherent
 //! cross-replica mutation.
 //!
@@ -112,56 +112,4 @@ fn main() {
         "\nmutation propagated: per-shard cost-model misses {:?} -> {:?} (every serving replica rebuilt)",
         before, after
     );
-
-    // Partitioned mode: each shard holds a *sub-graph* replica (its
-    // resident nodes plus a k-hop halo) instead of a full graph clone.
-    // Requests certify-or-escalate — served inside the home partition
-    // only when the local result is provably identical to the full
-    // graph's, otherwise escalated to the one full coverage replica.
-    let mut parted = ShardedEngine::new_partitioned(g, 2, 42);
-    println!(
-        "\npartitioned engine: {} sub-graph replicas + 1 coverage replica",
-        parted.shards()
-    );
-    for shard in 0..parted.shards() {
-        let part = parted.partition(shard).expect("partitioned mode");
-        println!(
-            "  partition {shard}: {} resident + {} halo nodes, {} edges, {} graph bytes",
-            part.resident_count(),
-            part.halo_count(),
-            part.edge_count(),
-            part.graph().resident_bytes(),
-        );
-    }
-    let coverage = parted.coverage_graph().expect("partitioned mode");
-    println!(
-        "  coverage replica: {} nodes, {} edges, {} graph bytes",
-        coverage.node_count(),
-        coverage.edge_count(),
-        coverage.resident_bytes(),
-    );
-    // `graph(shard)` stays honest in partitioned mode: the per-shard
-    // sub-graphs live under partition-local ids, so the accessor
-    // resolves to the coverage replica's full-content graph.
-    assert_eq!(
-        parted.graph(0).node_count(),
-        coverage.node_count(),
-        "graph(shard) must resolve to full content in partitioned mode"
-    );
-
-    // Serving stays bit-identical to a single engine — certification
-    // guarantees it, escalation covers the rest.
-    let reference = single.summarize_batch(g, &inputs, method);
-    for round in 0..2 {
-        let summaries = parted.summarize_batch(&inputs, method);
-        for (a, b) in summaries.iter().zip(&reference) {
-            assert_eq!(a.subgraph.sorted_edges(), b.subgraph.sorted_edges());
-        }
-        let (local, escalated) = parted.partition_stats();
-        println!(
-            "  round {round}: {} summaries bit-identical — {local} certified local, \
-             {escalated} escalated to coverage so far",
-            summaries.len(),
-        );
-    }
 }

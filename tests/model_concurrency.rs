@@ -76,7 +76,7 @@ fn breaker_transitions_are_race_free() {
 }
 
 #[test]
-fn partitioned_scatter_and_mutation_barrier_are_race_free() {
-    let stats = modelcheck::partitioned_scatter_mutation_barrier();
+fn mutation_barrier_orders_versions_and_serves_once() {
+    let stats = modelcheck::admission_mutation_barrier();
     assert!(stats.schedules_explored > 1, "scheduler never branched");
 }
