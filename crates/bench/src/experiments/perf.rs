@@ -310,9 +310,9 @@ pub fn group_input(
 }
 
 /// Users pooled into the G1–G5 sweep's group input: large enough that
-/// the post-dedup terminal set clears the engine's parallel-closure
-/// threshold (|T| ≥ 24) on every level at default scales, so the sweep
-/// exercises the big-|T| regime ST's |T|-dependence makes interesting.
+/// the post-dedup terminal set holds at least 24 terminals on every
+/// level at default scales, so the sweep exercises the big-|T| regime
+/// ST's |T|-dependence makes interesting.
 pub const GROUP_USERS: usize = 16;
 
 /// Measure the engine against the seed path on the `level` workload.

@@ -1,13 +1,11 @@
 //! Workload-level checks for the G1–G5 group sweep: the pooled
 //! user-group input really reaches the big-|T| regime the sweep is
-//! meant to exercise, and [`SteinerWorkspace::set_parallel_threshold`]
-//! genuinely flips the metric closure between its sequential and
-//! parallel branches on that input — observable only through the
-//! [`SteinerWorkspace::last_closure_workers`] probe, because the two
-//! branches are bit-identical in their output.
+//! meant to exercise, and a [`SummaryEngine`] spreading that group's
+//! closure searches over its pool returns exactly the sequential
+//! Algorithm 1 tree at every thread count.
 
 use xsum_bench::experiments::perf::{group_input, GROUP_USERS};
-use xsum_core::{steiner_costs, steiner_tree_with, Scenario, SteinerConfig, SteinerWorkspace};
+use xsum_core::{steiner_summary, BatchMethod, Scenario, SteinerConfig, SummaryEngine};
 use xsum_datasets::{scaling::scaling_graph_scaled, ScalingLevel};
 
 #[test]
@@ -16,8 +14,8 @@ fn group_workload_clears_the_parallel_closure_threshold() {
     let input = group_input(&ds, GROUP_USERS, 42, 3).expect("G1 yields group paths");
     assert_eq!(input.scenario, Scenario::UserGroup);
     // The pooled group is the sweep's big-|T| point: enough distinct
-    // terminals (users + recommended items) to clear the engine's
-    // built-in parallel-closure threshold of 24.
+    // terminals (users + recommended items) that its closure's |T|
+    // searches outnumber the pool's workers many times over.
     assert!(
         input.terminals.len() >= 24,
         "group workload stays in the big-|T| regime: |T| = {}",
@@ -30,50 +28,30 @@ fn group_workload_clears_the_parallel_closure_threshold() {
 }
 
 #[test]
-fn parallel_threshold_flips_the_closure_gate_bit_identically() {
+fn engine_spreads_big_group_closures_bit_identically() {
     let ds = scaling_graph_scaled(ScalingLevel::G1, 42, 0.2);
-    let input = group_input(&ds, GROUP_USERS, 42, 3).expect("G1 yields group paths");
+    let g = &ds.kg.graph;
+    let big = group_input(&ds, GROUP_USERS, 42, 3).expect("G1 yields group paths");
+    let small = group_input(&ds, 1, 42, 3).expect("user 0 yields paths");
+    let pair = group_input(&ds, 2, 7, 2).expect("users 0-1 yield paths");
+    assert!(small.terminals.len() < big.terminals.len());
+    // The big group sits between the small ones, so its closure tasks
+    // share the cursor with theirs on either side.
+    let inputs = vec![small, big, pair];
     let cfg = SteinerConfig::default();
-    let costs = steiner_costs(&ds.kg.graph, &input, &cfg);
-
-    let mut ws = SteinerWorkspace::new();
-    assert_eq!(ws.last_closure_workers(), 0, "no closure built yet");
-
-    // Low threshold + a thread budget: the closure must fan out.
-    ws.set_parallelism(4);
-    ws.set_parallel_threshold(2);
-    let parallel = steiner_tree_with(&ds.kg.graph, &costs, &input.terminals, &mut ws);
-    assert!(
-        ws.last_closure_workers() > 1,
-        "threshold 2 with 4 threads engages the parallel branch (got {})",
-        ws.last_closure_workers()
-    );
-
-    // Threshold above |T|: the same workspace falls back to the
-    // sequential branch.
-    ws.set_parallel_threshold(input.terminals.len() + 1);
-    let sequential = steiner_tree_with(&ds.kg.graph, &costs, &input.terminals, &mut ws);
-    assert_eq!(
-        ws.last_closure_workers(),
-        1,
-        "threshold above |T| runs the sequential branch"
-    );
-
-    // A parallelism budget of 1 also forces sequential, whatever the
-    // threshold says.
-    ws.set_parallel_threshold(2);
-    ws.set_parallelism(1);
-    let pinned = steiner_tree_with(&ds.kg.graph, &costs, &input.terminals, &mut ws);
-    assert_eq!(
-        ws.last_closure_workers(),
-        1,
-        "1-thread budget pins sequential"
-    );
-
-    // The gate is a pure scheduling decision: all three subgraphs are
-    // bit-identical.
-    assert_eq!(parallel.sorted_nodes(), sequential.sorted_nodes());
-    assert_eq!(parallel.sorted_edges(), sequential.sorted_edges());
-    assert_eq!(parallel.sorted_nodes(), pinned.sorted_nodes());
-    assert_eq!(parallel.sorted_edges(), pinned.sorted_edges());
+    let want: Vec<_> = inputs.iter().map(|i| steiner_summary(g, i, &cfg)).collect();
+    for threads in [1usize, 2, 4] {
+        let mut engine = SummaryEngine::with_threads(threads);
+        // Twice: the second batch runs on warm, restored cost buffers.
+        for _ in 0..2 {
+            let got = engine.summarize_batch(g, &inputs, BatchMethod::Steiner(cfg));
+            assert_eq!(got.len(), want.len());
+            // Fan-out is a pure scheduling decision: every tree is
+            // bit-identical to the sequential one.
+            for (want, got) in want.iter().zip(&got) {
+                assert_eq!(want.subgraph.sorted_nodes(), got.subgraph.sorted_nodes());
+                assert_eq!(want.subgraph.sorted_edges(), got.subgraph.sorted_edges());
+            }
+        }
+    }
 }

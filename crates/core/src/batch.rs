@@ -4,9 +4,10 @@
 //! Serving summary explanations to a user base means computing thousands
 //! of independent summaries against one shared, frozen knowledge graph —
 //! an embarrassingly parallel workload. [`summarize_batch`] distributes
-//! inputs over the engine's worker threads ([`xsum_graph::parallel`])
-//! with work stealing, so skewed inputs (one giant group summary among
-//! many small user-centric ones) still balance.
+//! the work over the engine's worker threads ([`xsum_graph::WorkerPool`])
+//! with work stealing — whole summaries, or for KMB single closure
+//! searches — so skewed inputs (one giant group summary among many
+//! small user-centric ones) still balance.
 //!
 //! Each worker owns one
 //! [`SteinerWorkspace`](crate::steiner::SteinerWorkspace) (plus a
@@ -93,13 +94,7 @@ pub fn summarize_batch_threads(
     method: BatchMethod,
     threads: usize,
 ) -> Vec<Summary> {
-    // Size the one-shot pool to the batch (a 2-input batch must not
-    // spawn 16 workers), but keep the caller's full thread budget as
-    // the lone worker's inner metric-closure fan-out — the pre-engine
-    // `summarize_batch` semantics.
-    let threads = threads.max(1);
-    let workers = threads.min(inputs.len()).max(1);
-    SummaryEngine::with_threads_and_budget(workers, threads).summarize_batch(g, inputs, method)
+    SummaryEngine::with_threads(threads).summarize_batch(g, inputs, method)
 }
 
 #[cfg(test)]

@@ -9,11 +9,11 @@
 //! graph, so [`SummaryEngine`] makes all of that state persistent:
 //!
 //! * a pinned [`WorkerPool`] — threads spawned once and parked between
-//!   calls, woken per batch with one condvar broadcast;
+//!   calls, woken per dispatch with one condvar broadcast;
 //! * one [`EngineWorker`] per pool thread, owning a [`SteinerWorkspace`]
 //!   and an Eq. 1 cost buffer that survive across batches, so a warm
-//!   batch patches O(|paths|) per summary and never touches the
-//!   allocator for search state;
+//!   batch patches O(|paths|) per summary it switches to and never
+//!   copies the O(|E|) base table;
 //! * a [`CostModelCache`] keyed by (graph epoch, config), shared by the
 //!   batched and single-summary paths, so switching λ or serving an
 //!   updated graph rebuilds the O(|E|) base table exactly once;
@@ -34,6 +34,13 @@
 //! rebuild path — the ledger only certifies what is provably
 //! bit-identical.
 //!
+//! The pool is the engine's only parallelism; no summary spawns threads
+//! of its own. ST-fast, PCST and GW-PCST batches hand workers whole
+//! summaries. A KMB batch hands them single metric-closure searches
+//! instead, one task per `(summary, source terminal)`, then one
+//! assembly task per summary ([`SummaryEngine::summarize_batch`]), so
+//! one big group cannot hold a single worker while the others idle.
+//!
 //! Everything the engine produces is **bit-identical** to the free
 //! functions ([`steiner_summary`](crate::steiner_summary) /
 //! [`steiner_summary_fast`](crate::steiner_summary_fast) /
@@ -46,14 +53,14 @@
 use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use xsum_graph::{num_threads, EdgeCosts, EdgeId, Graph, WorkerPool};
+use xsum_graph::{num_threads, EdgeCosts, EdgeId, Graph, NodeId, WorkerPool};
 
 use crate::batch::BatchMethod;
 use crate::input::SummaryInput;
 use crate::session::SessionStore;
 use crate::steiner::{
-    steiner_tree_fast_with, steiner_tree_with, CostModelCache, CostModelKey, SteinerCostModel,
-    SteinerWorkspace,
+    dedup_terminals, steiner_tree_fast_with, steiner_tree_with, CostModelCache, CostModelKey,
+    SteinerCostModel, SteinerWorkspace,
 };
 use crate::summary::Summary;
 
@@ -122,6 +129,9 @@ struct EngineWorker {
     costs_anchor: u64,
     /// Touched-edge log for patch/unpatch.
     touched: Vec<(EdgeId, u32)>,
+    /// Which summary of the current KMB batch `costs` is patched for
+    /// (see [`EngineWorker::switch_to`]); `None` outside a KMB batch.
+    patched: Option<usize>,
 }
 
 impl EngineWorker {
@@ -160,6 +170,43 @@ impl EngineWorker {
     /// Declare the buffer clean again (patch fully undone).
     fn finish_summary(&mut self, key: CostModelKey) {
         self.costs_key = Some(key);
+    }
+
+    /// Point the buffer at summary `k` of the current KMB batch: free
+    /// when it already holds `k`'s patch, an O(|paths|) unpatch and
+    /// patch when it holds another summary's, and a
+    /// [`EngineWorker::begin_summary`] sync first on the worker's first
+    /// task of the batch. The buffer stays in flight (dirty) until
+    /// [`EngineWorker::release`].
+    fn switch_to(
+        &mut self,
+        g: &Graph,
+        k: usize,
+        input: &SummaryInput,
+        key: CostModelKey,
+        model: &SteinerCostModel,
+    ) {
+        match self.patched {
+            Some(held) if held == k => return,
+            Some(_) => {
+                let costs = self.costs.as_mut().expect("patched buffer exists");
+                model.unpatch(costs, &self.touched);
+            }
+            None => self.begin_summary(g, key, model),
+        }
+        let costs = self.costs.as_mut().expect("buffer just synced");
+        model.patch(g, input, costs, &mut self.touched);
+        self.patched = Some(k);
+    }
+
+    /// End of a KMB batch: undo the held patch, if any, and declare the
+    /// buffer clean.
+    fn release(&mut self, key: CostModelKey, model: &SteinerCostModel) {
+        if self.patched.take().is_some() {
+            let costs = self.costs.as_mut().expect("patched buffer exists");
+            model.unpatch(costs, &self.touched);
+            self.finish_summary(key);
+        }
     }
 
     /// One ST/ST-fast summary on this worker's warm state — the single
@@ -221,10 +268,6 @@ pub struct SummaryEngine {
     workers: Vec<EngineWorker>,
     models: CostModelCache,
     sessions: SessionStore,
-    /// Inner-parallelism budget a *lone* batch worker inherits (the
-    /// |T| ≥ 24 metric-closure fan-out). Defaults to the worker count;
-    /// see [`SummaryEngine::with_threads_and_budget`].
-    lone_budget: usize,
 }
 
 impl Default for SummaryEngine {
@@ -248,25 +291,15 @@ impl SummaryEngine {
     }
 
     /// An engine with an explicit worker count (clamped to ≥ 1); `1`
-    /// serves strictly sequentially on the calling thread.
+    /// serves strictly sequentially on the calling thread. Pool threads
+    /// are spawned on the first dispatch that fans out.
     pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
-        Self::with_threads_and_budget(threads, threads)
-    }
-
-    /// [`SummaryEngine::with_threads`] with a separate inner-parallelism
-    /// budget for the lone-worker case — how the one-shot
-    /// [`crate::summarize_batch_threads`] wrapper clamps its pool to the
-    /// batch width without losing the caller's requested thread budget
-    /// for the metric-closure fan-out.
-    pub(crate) fn with_threads_and_budget(threads: usize, lone_budget: usize) -> Self {
         let threads = threads.max(1);
         SummaryEngine {
             pool: WorkerPool::new(threads),
             workers: (0..threads).map(|_| EngineWorker::default()).collect(),
             models: CostModelCache::new(Self::MODEL_CACHE_CAPACITY),
             sessions: SessionStore::new(Self::SESSION_CAPACITY),
-            lone_budget: lone_budget.max(1),
         }
     }
 
@@ -286,7 +319,8 @@ impl SummaryEngine {
     /// Install (or clear, with `None`) a fault hook on the pinned
     /// pool's dispatch seam — the engine-level face of the
     /// fault-injection plane ([`crate::faults`]). The hook runs once on
-    /// the dispatching thread per batch dispatch; a panicking hook
+    /// the dispatching thread per pool dispatch (a KMB batch makes two:
+    /// closure searches, then assembly); a panicking hook
     /// behaves exactly like a worker panic, so
     /// [`SummaryEngine::try_summarize_batch`] catches it. Unset (the
     /// default), the seam costs one never-taken branch per dispatch.
@@ -315,19 +349,6 @@ impl SummaryEngine {
         &mut self.sessions
     }
 
-    /// Override the deduplicated-terminal count from which a lone batch
-    /// worker's metric closure fans out across threads (`0` restores
-    /// the default; see
-    /// [`SteinerWorkspace::set_parallel_threshold`]). Applied to every
-    /// persistent worker workspace — shard replicas running few outer
-    /// workers lower it so mid-sized terminal groups still use the
-    /// replica's idle cores.
-    pub fn set_metric_closure_threshold(&mut self, min_terminals: usize) {
-        for w in &mut self.workers {
-            w.ws.set_parallel_threshold(min_terminals);
-        }
-    }
-
     /// Compute one summary on the calling thread, reusing the engine's
     /// warm state (cost-model cache + worker-0 workspace and cost
     /// buffer). Bit-identical to the corresponding sequential free
@@ -338,11 +359,7 @@ impl SummaryEngine {
             BatchMethod::Steiner(cfg) | BatchMethod::SteinerFast(cfg) => {
                 let fast = matches!(method, BatchMethod::SteinerFast(_));
                 let (key, model) = self.models.get(g, &cfg);
-                let worker = &mut self.workers[0];
-                // The sequential entry points never spawn threads; keep
-                // the engine's single-summary path identical.
-                worker.ws.set_parallelism(1);
-                worker.run_st(g, input, key, &model, fast, method.name())
+                self.workers[0].run_st(g, input, key, &model, fast, method.name())
             }
             BatchMethod::Pcst(_) | BatchMethod::GwPcst(_) => method.run(g, input),
         }
@@ -351,7 +368,9 @@ impl SummaryEngine {
     /// Summarize every input with `method` across the pinned worker
     /// pool, preserving input order. Semantics (and bits) match
     /// [`crate::summarize_batch`]; steady-state cost per call drops from
-    /// O(workers · |E|) setup + spawns to one pool wake-up.
+    /// O(workers · |E|) setup + spawns to one pool wake-up (two for a
+    /// KMB batch, whose closure searches and assemblies are separate
+    /// dispatches).
     pub fn summarize_batch(
         &mut self,
         g: &Graph,
@@ -393,33 +412,99 @@ impl SummaryEngine {
         // Freeze the CSR before fanning out so workers never contend on
         // the one-time adjacency build.
         g.freeze();
-        let threads = self.workers.len();
-        let active = threads.min(inputs.len()).max(1);
         match method {
-            BatchMethod::Steiner(cfg) | BatchMethod::SteinerFast(cfg) => {
-                let fast = matches!(method, BatchMethod::SteinerFast(_));
+            BatchMethod::Steiner(cfg) => {
+                let (key, model) = self.models.get(g, &cfg);
+                self.kmb_batch(g, inputs, key, &model)
+            }
+            BatchMethod::SteinerFast(cfg) => {
                 let label = method.name();
                 let (key, model) = self.models.get(g, &cfg);
-                for w in &mut self.workers[..active] {
-                    // One level of parallelism only: with several outer
-                    // workers each summary's metric closure stays
-                    // sequential; a lone worker inherits the engine's
-                    // inner budget (matching `summarize_batch`).
-                    w.ws.set_parallelism(if active > 1 { 1 } else { self.lone_budget });
-                }
                 let model_ref = &model;
                 self.pool
-                    .map_with(&mut self.workers[..active], inputs, move |w, _, input| {
-                        w.run_st(g, input.borrow(), key, model_ref, fast, label)
+                    .map_with(&mut self.workers, inputs, move |w, _, input| {
+                        w.run_st(g, input.borrow(), key, model_ref, true, label)
                     })
             }
             BatchMethod::Pcst(_) | BatchMethod::GwPcst(_) => {
+                let active = self.workers.len().min(inputs.len());
                 let mut states = vec![(); active];
                 self.pool.map_with(&mut states, inputs, |_, _, input| {
                     method.run(g, input.borrow())
                 })
             }
         }
+    }
+
+    /// A KMB batch in two dispatches on the pinned pool. The first runs
+    /// one task per `(summary k, source i)`: the Dijkstra from `T_k[i]`
+    /// to `T_k[i+1..]` and its paths. Tasks are ordered by summary, so
+    /// workers drawing them off the shared cursor mostly stay on one
+    /// summary's patch. The second runs one assembly task per summary
+    /// (Kruskal, expand, re-MST, prune) over that summary's rows. A big
+    /// group's |T| searches thus spread over every worker instead of
+    /// holding one worker while the others idle.
+    fn kmb_batch<T>(
+        &mut self,
+        g: &Graph,
+        inputs: &[T],
+        key: CostModelKey,
+        model: &SteinerCostModel,
+    ) -> Vec<Summary>
+    where
+        T: Borrow<SummaryInput> + Sync,
+    {
+        let terminals: Vec<Vec<NodeId>> = inputs
+            .iter()
+            .map(|input| {
+                let mut t = Vec::new();
+                dedup_terminals(&input.borrow().terminals, &mut t);
+                t
+            })
+            .collect();
+        // `starts[k]..starts[k + 1]` are summary k's closure tasks.
+        let mut tasks: Vec<(usize, usize)> = Vec::new();
+        let mut starts = Vec::with_capacity(inputs.len() + 1);
+        for (k, t) in terminals.iter().enumerate() {
+            starts.push(tasks.len());
+            tasks.extend((0..t.len().saturating_sub(1)).map(|si| (k, si)));
+        }
+        starts.push(tasks.len());
+        // A batch that panicked left its patches behind; their buffers
+        // are still flagged dirty, so the first switch re-syncs them.
+        for w in &mut self.workers {
+            w.patched = None;
+        }
+        let rows = self
+            .pool
+            .map_with(&mut self.workers, &tasks, |w, _, &(k, si)| {
+                w.switch_to(g, k, inputs[k].borrow(), key, model);
+                let costs = w.costs.as_ref().expect("buffer patched for k");
+                w.ws.closure_row(g, costs, &terminals[k], si)
+            });
+        let trees = self
+            .pool
+            .map_with(&mut self.workers, inputs, |w, k, input| {
+                w.switch_to(g, k, input.borrow(), key, model);
+                let costs = w.costs.as_ref().expect("buffer patched for k");
+                w.ws.assemble_rows(g, costs, &terminals[k], &rows[starts[k]..starts[k + 1]])
+            });
+        for w in &mut self.workers {
+            w.release(key, model);
+        }
+        inputs
+            .iter()
+            .zip(trees)
+            .map(|(input, subgraph)| {
+                let input = input.borrow();
+                Summary {
+                    method: "ST",
+                    scenario: input.scenario,
+                    subgraph,
+                    terminals: input.terminals.clone(),
+                }
+            })
+            .collect()
     }
 
     /// [`SummaryEngine::summarize_batch`] with worker panics surfaced
@@ -615,6 +700,82 @@ mod tests {
                 for s in &after {
                     assert_same(s, &method.run(&ex.graph, &input));
                 }
+            }
+        }
+    }
+
+    /// Two equal two-hop routes u–i1–{a, b}–i2 and one input per route:
+    /// under λ = 100 each input's tree follows its own path, so a tree
+    /// computed on the other input's Eq. 1 costs takes the wrong route.
+    fn two_route_inputs() -> (Graph, SummaryInput, SummaryInput) {
+        use xsum_graph::{EdgeKind, LoosePath, NodeKind};
+        let mut g = Graph::new();
+        let u = g.add_node(NodeKind::User);
+        let i1 = g.add_node(NodeKind::Item);
+        let i2 = g.add_node(NodeKind::Item);
+        let a = g.add_node(NodeKind::Entity);
+        let b = g.add_node(NodeKind::Entity);
+        g.add_edge(u, i1, 1.0, EdgeKind::Interaction);
+        for via in [a, b] {
+            g.add_edge(i1, via, 1.0, EdgeKind::Attribute);
+            g.add_edge(via, i2, 1.0, EdgeKind::Attribute);
+        }
+        let input =
+            |via| SummaryInput::user_centric(u, vec![LoosePath::ground(&g, vec![u, i1, via, i2])]);
+        let (via_a, via_b) = (input(a), input(b));
+        (g, via_a, via_b)
+    }
+
+    #[test]
+    fn kmb_panic_mid_batch_leaves_no_foreign_patch_behind() {
+        // An out-of-range source in the middle of a KMB batch panics in
+        // its closure task (index 2); the other worker then serves task
+        // 3, so both buffers hold patches when the batch unwinds. The
+        // next batch puts the other route's input at indices 2 and 3,
+        // so a patch carried over from the failed batch would route a
+        // tree the wrong way.
+        let (g, via_a, via_b) = two_route_inputs();
+        let cfg = SteinerConfig {
+            lambda: 100.0,
+            delta: 1.0,
+        };
+        let method = BatchMethod::Steiner(cfg);
+        assert_ne!(
+            steiner_summary(&g, &via_a, &cfg).subgraph.sorted_edges(),
+            steiner_summary(&g, &via_b, &cfg).subgraph.sorted_edges()
+        );
+        let mut engine = SummaryEngine::with_threads(2);
+        // Which worker draws which recovery task is a race; the rounds
+        // make a leftover patch meet its own summary index.
+        for round in 0..16 {
+            let (old, new) = if round % 2 == 0 {
+                (&via_a, &via_b)
+            } else {
+                (&via_b, &via_a)
+            };
+            let mut bad = old.clone();
+            bad.terminals = vec![
+                xsum_graph::NodeId(u32::MAX - 2),
+                xsum_graph::NodeId(u32::MAX - 1),
+            ];
+            let poisoned = vec![old.clone(), old.clone(), bad, old.clone()];
+            assert!(engine.try_summarize_batch(&g, &poisoned, method).is_err());
+            // Single-terminal inputs run no closure task.
+            let mut single = new.clone();
+            single.terminals.truncate(1);
+            let recovery = vec![single.clone(), single, new.clone(), new.clone()];
+            let after = engine.summarize_batch(&g, &recovery, method);
+            for (got, input) in after.iter().zip(&recovery) {
+                assert_same(got, &steiner_summary(&g, input, &cfg));
+            }
+        }
+        let (_, model) = engine.models.get(&g, &cfg);
+        for w in &engine.workers {
+            assert!(w.patched.is_none(), "a finished batch holds no patch");
+            // A worker the last batch never reached is still flagged
+            // dirty; every other buffer is exactly the base again.
+            if let (Some(costs), Some(_)) = (&w.costs, w.costs_key) {
+                assert_eq!(costs.0, model.fresh_costs().0, "clean buffer is base");
             }
         }
     }

@@ -31,19 +31,17 @@
 //! * the graph substrate stores adjacency as a frozen CSR and exposes
 //!   reusable, generation-stamped [`DijkstraWorkspace`]s
 //!   ([`xsum_graph`]);
-//! * [`steiner_tree`] keeps all KMB scratch (terminal dedup, metric
-//!   closure, path arena, per-worker Dijkstra state) in a reusable
-//!   [`SteinerWorkspace`] and allocates nothing but the output subgraph
-//!   once warm; a parallel metric closure for large terminal sets
-//!   (|T| ≥ 24) is available by opt-in via
-//!   [`SteinerWorkspace::set_parallelism`] — the sequential entry
-//!   points never spawn threads on their own;
+//! * [`steiner_tree`] keeps all KMB scratch (terminal dedup, one
+//!   closure row per source with its paths, Dijkstra state) in a
+//!   reusable [`SteinerWorkspace`], so a warm call allocates no search
+//!   state; it runs the |T| closure searches sequentially and never
+//!   spawns threads;
 //! * [`summarize_batch`] fans a slice of [`SummaryInput`]s across worker
 //!   threads for ST, ST-fast ([`steiner_summary_fast`], the Mehlhorn
 //!   closure), PCST, and GW-PCST alike, each worker reusing its own
-//!   workspace across the summaries it processes, with results
-//!   bit-identical to the sequential entry points and returned in input
-//!   order;
+//!   workspace across the tasks it processes — whole summaries, or for
+//!   ST single closure searches — with results bit-identical to the
+//!   sequential entry points and returned in input order;
 //! * [`SummaryEngine`] makes all of that state *persistent* for serving:
 //!   a pinned [`WorkerPool`](xsum_graph::WorkerPool) parked between
 //!   calls, per-worker workspaces and Eq. 1 cost buffers that survive

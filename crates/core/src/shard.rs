@@ -282,16 +282,6 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Forward
-    /// [`SummaryEngine::set_metric_closure_threshold`] to every replica
-    /// — shard replicas run few outer workers, so lowering the gate
-    /// lets mid-sized terminal groups still fan out inside a replica.
-    pub fn set_metric_closure_threshold(&mut self, min_terminals: usize) {
-        for r in &mut self.replicas {
-            r.engine.set_metric_closure_threshold(min_terminals);
-        }
-    }
-
     /// Replace the per-replica circuit-breaker tuning and reset every
     /// breaker to [`BreakerState::Closed`].
     pub fn set_circuit_config(&mut self, cfg: CircuitConfig) {

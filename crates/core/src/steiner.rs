@@ -10,6 +10,13 @@
 //!    subgraph and repeated pruning of non-terminal leaves (the standard
 //!    KMB post-passes that keep the 2-approximation guarantee).
 //!
+//! Step 1 is split per source from steps 2–4: each source's Dijkstra
+//! fills one closure row, and one assembly merges the rows in `(a, b)`
+//! order and runs Kruskal, expansion and the post-passes.
+//! [`steiner_tree_with`] runs the sources one after another; a
+//! [`crate::engine::SummaryEngine`] batch runs them as tasks on its
+//! pool. Both call the same two steps, so their trees are bit-identical.
+//!
 //! Edge costs come from the §IV-A transform of the λ-boosted weights
 //! (Eq. 1): `cost(e) = (max_w + δ) − w(e)`, positive by construction, so
 //! minimizing cost simultaneously minimizes edge count and maximizes
@@ -39,24 +46,13 @@
 use std::cell::RefCell;
 
 use xsum_graph::{
-    kruskal, num_threads, parallel_map_with, DijkstraWorkspace, EdgeCosts, EdgeId, FxHashMap,
-    FxHashSet, Graph, MstEdge, NodeId, Subgraph, WeightDeltaRec,
+    kruskal, DijkstraWorkspace, EdgeCosts, EdgeId, FxHashMap, FxHashSet, Graph, MstEdge, NodeId,
+    Subgraph, WeightDeltaRec,
 };
 
 use crate::input::SummaryInput;
 use crate::summary::Summary;
 use crate::weighting::adjusted_weights;
-
-/// Default terminal count from which the metric closure fans its
-/// Dijkstras out across threads. Below this, thread handoff costs more
-/// than the |T| searches; the paper's user-centric k≤10 inputs always
-/// stay sequential while group scenarios with hundreds of terminals
-/// parallelize. The gate always counts **deduplicated** terminals (the
-/// closure runs one Dijkstra per distinct terminal, so duplicates must
-/// not buy a fan-out), and per-workspace overrides are available via
-/// [`SteinerWorkspace::set_parallel_threshold`] — shard replicas with
-/// few workers lower it so their rarer large groups still fan out.
-const PARALLEL_TERMINAL_THRESHOLD: usize = 24;
 
 /// Parameters of the ST summarizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -477,42 +473,42 @@ pub(crate) fn cached_steiner_costs(
     costs
 }
 
-/// Reusable scratch state for [`steiner_tree_with`].
+/// Reusable scratch state for [`steiner_tree_with`] and
+/// [`steiner_tree_fast_with`].
 ///
-/// Owns the per-call buffers of the KMB construction — the deduplicated
-/// terminal list, the metric-closure edge list, and a flat edge-id arena
-/// holding every pair's expanded shortest path — plus one
-/// [`DijkstraWorkspace`] per potential worker thread. After the first
-/// call at a given problem size, a summary computes without allocating
-/// anything but its output subgraph.
+/// Owns the per-call buffers of both ST constructions — the
+/// deduplicated terminal list, one KMB closure row per source, the
+/// closure edge list, the Mehlhorn pair matrix — plus the one
+/// [`DijkstraWorkspace`] every search runs in. Buffers grow to the
+/// largest problem seen and are reused, so a warm workspace allocates
+/// no search state; the reconstruction passes (re-MST, leaf pruning)
+/// and the output subgraph still allocate per call.
+///
+/// The workspace runs its |T| closure searches one after another. A
+/// [`crate::engine::SummaryEngine`] spreads a KMB batch's closure
+/// searches over its pinned pool instead, one task per source
+/// terminal, through the same two steps: one closure row per source,
+/// then one assembly over the rows.
 #[derive(Debug, Default)]
 pub struct SteinerWorkspace {
     /// Sorted, deduplicated terminal scratch.
     terminals: Vec<NodeId>,
-    /// Metric-closure edges (`a`/`b` index `terminals`, payload indexes
-    /// `spans`).
+    /// KMB closure rows: `rows[si]` holds source `si`'s searches.
+    rows: Vec<ClosureRow>,
+    /// Closure edges over terminal indices, as Kruskal reads them. KMB
+    /// payloads index `spans`; Mehlhorn payloads are bridge edge ids.
     closure: Vec<MstEdge>,
-    /// `spans[payload]` delimits the pair's path inside `arena`.
-    spans: Vec<(u32, u32)>,
-    /// Flat storage for all closure paths.
-    arena: Vec<EdgeId>,
+    /// `(row, start, len)`: where a KMB closure edge's path lies in its
+    /// row's arena.
+    spans: Vec<(u32, u32, u32)>,
+    /// Mehlhorn path scratch.
+    path: Vec<EdgeId>,
     /// Mehlhorn pair reduction: cheapest boundary bridge per terminal
     /// pair, `(cost, bridge edge id)` in a dense upper-triangular T×T
     /// matrix.
     pair_best: Vec<(f64, u32)>,
-    /// One Dijkstra workspace per worker (index 0 doubles as the
-    /// sequential workspace).
-    workers: Vec<DijkstraWorkspace>,
-    /// Thread budget for the metric closure's inner fan-out: 0 = use
-    /// [`num_threads`]; 1 = stay sequential (set by outer parallel
-    /// regions so worker threads never nest thread pools).
-    parallelism: usize,
-    /// Deduplicated-terminal count from which the metric closure fans
-    /// out: 0 = the built-in [`PARALLEL_TERMINAL_THRESHOLD`] default.
-    parallel_threshold: usize,
-    /// Worker count the most recent metric closure actually ran with
-    /// (1 = sequential); 0 until the first closure builds.
-    last_closure_workers: usize,
+    /// The Dijkstra state every search of this workspace runs in.
+    dij: DijkstraWorkspace,
 }
 
 impl SteinerWorkspace {
@@ -521,163 +517,175 @@ impl SteinerWorkspace {
         Self::default()
     }
 
-    /// Cap the metric closure's inner thread fan-out (`0` = hardware
-    /// default, `1` = strictly sequential). Outer parallel drivers —
-    /// e.g. [`crate::summarize_batch`]'s per-summary workers — pin
-    /// their workspaces to 1 so parallelism lives at exactly one level.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads;
+    /// Has no effect: the workspace's metric closure is always
+    /// sequential. Kept for callers written against the earlier
+    /// thread-budget knob; a KMB batch parallelizes through
+    /// [`crate::engine::SummaryEngine`] instead.
+    pub fn set_parallelism(&mut self, _threads: usize) {}
+
+    /// Step 1 of KMB for source `si` of sorted, deduplicated
+    /// `terminals`, searched in this workspace's Dijkstra state — one
+    /// closure task of a [`crate::engine::SummaryEngine`] batch.
+    pub(crate) fn closure_row(
+        &mut self,
+        g: &Graph,
+        costs: &EdgeCosts,
+        terminals: &[NodeId],
+        si: usize,
+    ) -> ClosureRow {
+        let mut row = ClosureRow::default();
+        row.build(g, costs, terminals, si, &mut self.dij);
+        row
     }
 
-    /// Override the deduplicated-terminal count from which the metric
-    /// closure fans out across threads (`0` restores the built-in
-    /// default of [`PARALLEL_TERMINAL_THRESHOLD`]; values below 2 clamp
-    /// to 2, the smallest terminal set with a closure to build). Only
-    /// observable when [`SteinerWorkspace::set_parallelism`] grants a
-    /// budget above 1 — shard replicas running few outer workers lower
-    /// this so mid-sized groups still use their idle cores.
-    pub fn set_parallel_threshold(&mut self, min_terminals: usize) {
-        self.parallel_threshold = if min_terminals == 0 {
-            0
-        } else {
-            min_terminals.max(2)
-        };
+    /// Steps 2–4 of KMB for sorted, deduplicated `terminals` over
+    /// `rows[si]` = [`SteinerWorkspace::closure_row`] of each source —
+    /// the assembly task of a [`crate::engine::SummaryEngine`] batch.
+    pub(crate) fn assemble_rows(
+        &mut self,
+        g: &Graph,
+        costs: &EdgeCosts,
+        terminals: &[NodeId],
+        rows: &[ClosureRow],
+    ) -> Subgraph {
+        kmb_assemble(
+            g,
+            costs,
+            terminals,
+            rows,
+            &mut self.closure,
+            &mut self.spans,
+        )
     }
+}
 
-    /// How many workers the most recent metric closure actually used:
-    /// `1` means the sequential branch ran, `> 1` the parallel
-    /// fan-out, `0` that no closure has been built yet. A probe for
-    /// workload tests asserting that [`set_parallel_threshold`] /
-    /// [`set_parallelism`] really flip the gate — results are
-    /// bit-identical either way, so only this observable can tell the
-    /// branches apart.
-    ///
-    /// [`set_parallel_threshold`]: SteinerWorkspace::set_parallel_threshold
-    /// [`set_parallelism`]: SteinerWorkspace::set_parallelism
-    pub fn last_closure_workers(&self) -> usize {
-        self.last_closure_workers
-    }
+/// Sorted, deduplicated copy of `terminals` into `out` — the terminal
+/// list both ST constructions run over.
+pub(crate) fn dedup_terminals(terminals: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    out.extend_from_slice(terminals);
+    out.sort_unstable();
+    out.dedup();
+}
 
-    /// The active fan-out gate (post-dedup terminal count).
-    fn parallel_threshold(&self) -> usize {
-        match self.parallel_threshold {
-            0 => PARALLEL_TERMINAL_THRESHOLD,
-            n => n,
-        }
-    }
+/// One source's row of KMB's metric closure: the shortest paths from
+/// terminal `si` to every later terminal.
+#[derive(Debug, Default)]
+pub(crate) struct ClosureRow {
+    /// `(target terminal index, path length, distance)` per reachable
+    /// later terminal, in target order.
+    pairs: Vec<(u32, u32, f64)>,
+    /// The pairs' paths, back to back in pair order.
+    arena: Vec<EdgeId>,
+}
 
-    /// Build the metric closure over `terminals` into `closure` /
-    /// `spans` / `arena`, running the |T| Dijkstras sequentially or
-    /// across worker threads.
-    fn metric_closure(&mut self, g: &Graph, costs: &EdgeCosts) {
-        self.closure.clear();
-        self.spans.clear();
+impl ClosureRow {
+    /// Step 1 of KMB for one source: Dijkstra from `terminals[si]` to
+    /// `terminals[si + 1..]`, recording every reachable pair and its
+    /// path.
+    fn build(
+        &mut self,
+        g: &Graph,
+        costs: &EdgeCosts,
+        terminals: &[NodeId],
+        si: usize,
+        dij: &mut DijkstraWorkspace,
+    ) {
+        self.pairs.clear();
         self.arena.clear();
-        let t = self.terminals.len();
-
-        let budget = match self.parallelism {
-            0 => num_threads(),
-            n => n,
-        };
-        // `t` counts `self.terminals` *after* the callers' sort+dedup —
-        // the gate must never let duplicate terminals (which cost no
-        // extra Dijkstras) buy a thread fan-out.
-        let workers = if t >= self.parallel_threshold() {
-            budget.min(t)
-        } else {
-            1
-        };
-        self.last_closure_workers = workers;
-        if self.workers.len() < workers {
-            self.workers.resize_with(workers, DijkstraWorkspace::new);
-        }
-
-        if workers == 1 {
-            // Sequential: reuse worker 0 across all |T| sources, writing
-            // paths straight into the shared arena.
-            let ws = &mut self.workers[0];
-            for si in 0..t - 1 {
-                let source = self.terminals[si];
-                let targets = &self.terminals[si + 1..];
-                ws.run(g, costs, source, targets);
-                for (off, &target) in targets.iter().enumerate() {
-                    if let Some(d) = ws.distance(target) {
-                        let start = self.arena.len() as u32;
-                        if !ws.append_path_to(g, target, &mut self.arena) {
-                            continue;
-                        }
-                        self.closure.push(MstEdge {
-                            a: si,
-                            b: si + 1 + off,
-                            cost: d,
-                            payload: self.spans.len(),
-                        });
-                        self.spans.push((start, self.arena.len() as u32 - start));
-                    }
+        let targets = &terminals[si + 1..];
+        self.pairs.reserve(targets.len());
+        dij.run(g, costs, terminals[si], targets);
+        for (off, &target) in targets.iter().enumerate() {
+            if let Some(d) = dij.distance(target) {
+                let start = self.arena.len();
+                if dij.append_path_to(g, target, &mut self.arena) {
+                    let len = (self.arena.len() - start) as u32;
+                    self.pairs.push(((si + 1 + off) as u32, len, d));
                 }
-            }
-            return;
-        }
-
-        // Parallel: every source index is an independent task; workers
-        // carry their own DijkstraWorkspace and return (pair, dist,
-        // local path span) batches that merge into the shared arena.
-        g.freeze();
-        let terminals = &self.terminals;
-        let sources: Vec<usize> = (0..t - 1).collect();
-        let per_source = parallel_map_with(&mut self.workers[..workers], &sources, |ws, _, &si| {
-            let targets = &terminals[si + 1..];
-            ws.run(g, costs, terminals[si], targets);
-            let mut paths: Vec<EdgeId> = Vec::new();
-            let mut pairs: Vec<(usize, f64, u32, u32)> = Vec::new();
-            for (off, &target) in targets.iter().enumerate() {
-                if let Some(d) = ws.distance(target) {
-                    let start = paths.len() as u32;
-                    if ws.append_path_to(g, target, &mut paths) {
-                        pairs.push((si + 1 + off, d, start, paths.len() as u32 - start));
-                    }
-                }
-            }
-            (si, pairs, paths)
-        });
-        for (si, pairs, paths) in per_source {
-            let base = self.arena.len() as u32;
-            self.arena.extend_from_slice(&paths);
-            for (ti, d, start, len) in pairs {
-                self.closure.push(MstEdge {
-                    a: si,
-                    b: ti,
-                    cost: d,
-                    payload: self.spans.len(),
-                });
-                self.spans.push((base + start, len));
             }
         }
     }
 }
 
+/// Steps 2–4 of KMB over sorted, deduplicated `terminals` and their
+/// closure rows (`rows[si]` for source `si`): Kruskal over the closure
+/// edges merged in `(a, b)` order, path expansion, re-MST, pruning.
+/// `closure` and `spans` are reusable scratch.
+fn kmb_assemble(
+    g: &Graph,
+    costs: &EdgeCosts,
+    terminals: &[NodeId],
+    rows: &[ClosureRow],
+    closure: &mut Vec<MstEdge>,
+    spans: &mut Vec<(u32, u32, u32)>,
+) -> Subgraph {
+    let mut out = Subgraph::new();
+    match terminals.len() {
+        0 => return out,
+        1 => {
+            out.insert_node(terminals[0]);
+            return out;
+        }
+        _ => {}
+    }
+    // 2. MST of the complete terminal graph.
+    closure.clear();
+    spans.clear();
+    for (si, row) in rows.iter().enumerate() {
+        let mut start = 0;
+        for &(b, len, cost) in &row.pairs {
+            closure.push(MstEdge {
+                a: si,
+                b: b as usize,
+                cost,
+                payload: spans.len(),
+            });
+            spans.push((si as u32, start, len));
+            start += len;
+        }
+    }
+    let mst = kruskal(terminals.len(), closure);
+
+    // 3. Expand each chosen closure edge into its underlying path.
+    let mut edge_set: FxHashSet<EdgeId> = FxHashSet::default();
+    for ce in &mst {
+        let (row, start, len) = spans[ce.payload];
+        let arena = &rows[row as usize].arena;
+        edge_set.extend(
+            arena[start as usize..(start + len) as usize]
+                .iter()
+                .copied(),
+        );
+    }
+
+    // 4a. Re-MST over the expanded subgraph to break any cycles formed by
+    //     overlapping shortest paths.
+    let pruned = subgraph_mst(g, costs, &edge_set);
+
+    // 4b. Prune non-terminal leaves repeatedly.
+    let term_set: FxHashSet<NodeId> = terminals.iter().copied().collect();
+    let final_edges = prune_nonterminal_leaves(g, pruned, &term_set);
+
+    let mut out = Subgraph::from_edges(g, final_edges);
+    // Unreachable terminals are still part of the summary statement.
+    for t in terminals {
+        out.insert_node(*t);
+    }
+    out
+}
+
 thread_local! {
-    /// Per-thread engine state backing the workspace-free entry points.
-    /// Pinned to sequential execution so the public `steiner_*`
-    /// functions never spawn threads behind the caller's back (the
-    /// paper-reproduction timings measure sequential Algorithm 1, and
-    /// callers running their own thread pools must not get nested
-    /// fan-out). Parallel metric closures are an explicit choice:
-    /// [`summarize_batch`](crate::summarize_batch) or
-    /// [`steiner_tree_with`] + [`SteinerWorkspace::set_parallelism`].
-    static STEINER_SCRATCH: RefCell<SteinerWorkspace> = RefCell::new({
-        let mut ws = SteinerWorkspace::new();
-        ws.set_parallelism(1);
-        ws
-    });
+    /// Per-thread scratch backing the workspace-free entry points.
+    static STEINER_SCRATCH: RefCell<SteinerWorkspace> = RefCell::new(SteinerWorkspace::new());
 }
 
 /// The raw KMB Steiner construction over explicit costs and terminals.
 ///
 /// Exposed for the ablation benches; [`steiner_summary`] is the paper's
 /// entry point. Scratch state lives in a per-thread
-/// [`SteinerWorkspace`], so repeated calls are allocation-free after
-/// warmup; use [`steiner_tree_with`] to manage the workspace explicitly.
+/// [`SteinerWorkspace`], so repeated calls reuse their search state; use
+/// [`steiner_tree_with`] to manage the workspace explicitly.
 pub fn steiner_tree(g: &Graph, costs: &EdgeCosts, terminals: &[NodeId]) -> Subgraph {
     STEINER_SCRATCH.with(|ws| steiner_tree_with(g, costs, terminals, &mut ws.borrow_mut()))
 }
@@ -689,52 +697,24 @@ pub fn steiner_tree_with(
     terminals: &[NodeId],
     ws: &mut SteinerWorkspace,
 ) -> Subgraph {
-    ws.terminals.clear();
-    ws.terminals.extend_from_slice(terminals);
-    ws.terminals.sort_unstable();
-    ws.terminals.dedup();
-
-    let mut out = Subgraph::new();
-    match ws.terminals.len() {
-        0 => return out,
-        1 => {
-            out.insert_node(ws.terminals[0]);
-            return out;
-        }
-        _ => {}
+    dedup_terminals(terminals, &mut ws.terminals);
+    // 1. Shortest paths between all terminal pairs: one Dijkstra per
+    //    source, one closure row each.
+    let sources = ws.terminals.len().saturating_sub(1);
+    if ws.rows.len() < sources {
+        ws.rows.resize_with(sources, ClosureRow::default);
     }
-
-    // 1 + 2. Shortest paths between all terminal pairs (|T| Dijkstra
-    //        runs, parallel for large |T|) and the metric closure over
-    //        terminal indices, with each pair's path parked in the arena.
-    ws.metric_closure(g, costs);
-    let mst = kruskal(ws.terminals.len(), &ws.closure);
-
-    // 3. Expand each chosen closure edge into its underlying path.
-    let mut edge_set: FxHashSet<EdgeId> = FxHashSet::default();
-    for ce in &mst {
-        let (start, len) = ws.spans[ce.payload];
-        edge_set.extend(
-            ws.arena[start as usize..(start + len) as usize]
-                .iter()
-                .copied(),
-        );
+    for (si, row) in ws.rows[..sources].iter_mut().enumerate() {
+        row.build(g, costs, &ws.terminals, si, &mut ws.dij);
     }
-
-    // 4a. Re-MST over the expanded subgraph to break any cycles formed by
-    //     overlapping shortest paths.
-    let pruned = subgraph_mst(g, costs, &edge_set);
-
-    // 4b. Prune non-terminal leaves repeatedly.
-    let term_set: FxHashSet<NodeId> = ws.terminals.iter().copied().collect();
-    let final_edges = prune_nonterminal_leaves(g, pruned, &term_set);
-
-    let mut out = Subgraph::from_edges(g, final_edges);
-    // Unreachable terminals are still part of the summary statement.
-    for t in &ws.terminals {
-        out.insert_node(*t);
-    }
-    out
+    kmb_assemble(
+        g,
+        costs,
+        &ws.terminals,
+        &ws.rows[..sources],
+        &mut ws.closure,
+        &mut ws.spans,
+    )
 }
 
 /// Compute the ST summary with the Mehlhorn metric closure —
@@ -773,10 +753,7 @@ pub fn steiner_tree_fast_with(
     terminals: &[NodeId],
     ws: &mut SteinerWorkspace,
 ) -> Subgraph {
-    ws.terminals.clear();
-    ws.terminals.extend_from_slice(terminals);
-    ws.terminals.sort_unstable();
-    ws.terminals.dedup();
+    dedup_terminals(terminals, &mut ws.terminals);
 
     let mut out = Subgraph::new();
     match ws.terminals.len() {
@@ -789,10 +766,7 @@ pub fn steiner_tree_fast_with(
     }
 
     // 1. One multi-source Dijkstra: Voronoi cells around the terminals.
-    if ws.workers.is_empty() {
-        ws.workers.push(DijkstraWorkspace::new());
-    }
-    let dij = &mut ws.workers[0];
+    let dij = &mut ws.dij;
     dij.run_voronoi(g, costs, &ws.terminals);
 
     // 2. Candidate inter-cell connections: every edge whose endpoints
@@ -838,16 +812,15 @@ pub fn steiner_tree_fast_with(
 
     // 3. Expand each chosen bridge into bridge + both endpoint-to-
     //    terminal paths.
-    ws.arena.clear();
     let mut edge_set: FxHashSet<EdgeId> = FxHashSet::default();
     for ce in &mst {
         let e = EdgeId(ce.payload as u32);
         let edge = g.edge(e);
         edge_set.insert(e);
-        ws.arena.clear();
-        dij.append_path_to_origin(g, edge.src, &mut ws.arena);
-        dij.append_path_to_origin(g, edge.dst, &mut ws.arena);
-        edge_set.extend(ws.arena.iter().copied());
+        ws.path.clear();
+        dij.append_path_to_origin(g, edge.src, &mut ws.path);
+        dij.append_path_to_origin(g, edge.dst, &mut ws.path);
+        edge_set.extend(ws.path.iter().copied());
     }
 
     // 4. Same KMB post-passes: re-MST, then prune non-terminal leaves.
@@ -1264,51 +1237,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_gate_counts_terminals_post_dedup() {
-        // 30 copies of 3 distinct terminals, a thread budget of 4: a
-        // pre-dedup gate would see 30 ≥ 24 and fan out; the correct
-        // post-dedup gate sees 3 and must stay sequential (worker 0
-        // only — no extra Dijkstra workspaces materialize).
-        let (g, n) = hub_graph();
+    fn rows_from_separate_workspaces_assemble_to_the_sequential_tree() {
+        // The engine's split: each source's row searched in whichever
+        // worker's workspace drew it, assembled in yet another one.
+        let (mut g, n) = hub_graph();
+        let lonely = g.add_node(NodeKind::Item);
         let costs = EdgeCosts::uniform(&g, 1.0);
-        let mut dup = Vec::new();
-        for _ in 0..10 {
-            dup.extend_from_slice(&[n[0], n[1], n[2]]);
-        }
-        let mut ws = SteinerWorkspace::new();
-        ws.set_parallelism(4);
-        let tree = steiner_tree_with(&g, &costs, &dup, &mut ws);
-        assert_eq!(tree.edge_count(), 3);
-        assert!(
-            ws.workers.len() <= 1,
-            "duplicate terminals must not trigger the parallel closure"
-        );
-    }
-
-    #[test]
-    fn parallel_threshold_is_configurable_and_preserves_output() {
-        let (g, n) = hub_graph();
-        let costs = EdgeCosts::uniform(&g, 1.0);
-        let terminals = [n[0], n[1], n[2]];
-        let mut seq_ws = SteinerWorkspace::new();
-        seq_ws.set_parallelism(1);
-        let want = steiner_tree_with(&g, &costs, &terminals, &mut seq_ws);
-
-        // Lowered threshold + a real budget: 3 distinct terminals now
-        // fan out (3 workspaces), and the tree is bit-identical.
-        let mut ws = SteinerWorkspace::new();
-        ws.set_parallelism(4);
-        ws.set_parallel_threshold(2);
-        let got = steiner_tree_with(&g, &costs, &terminals, &mut ws);
-        assert_eq!(ws.workers.len(), 3, "lowered gate must fan out");
+        let raw = [n[2], n[0], lonely, n[1], n[0], n[4]];
+        let want = steiner_tree(&g, &costs, &raw);
+        let mut terminals = Vec::new();
+        dedup_terminals(&raw, &mut terminals);
+        let mut workers = [SteinerWorkspace::new(), SteinerWorkspace::new()];
+        let rows: Vec<ClosureRow> = (0..terminals.len() - 1)
+            .map(|si| workers[si % 2].closure_row(&g, &costs, &terminals, si))
+            .collect();
+        let got = SteinerWorkspace::new().assemble_rows(&g, &costs, &terminals, &rows);
         assert_eq!(want.sorted_edges(), got.sorted_edges());
         assert_eq!(want.sorted_nodes(), got.sorted_nodes());
-
-        // `0` restores the default; `1` clamps to the smallest closure.
-        ws.set_parallel_threshold(0);
-        assert_eq!(ws.parallel_threshold(), PARALLEL_TERMINAL_THRESHOLD);
-        ws.set_parallel_threshold(1);
-        assert_eq!(ws.parallel_threshold(), 2);
+        assert!(got.contains_node(lonely));
     }
 
     #[test]

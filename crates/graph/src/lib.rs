@@ -23,13 +23,14 @@
 //!   arrays) making repeated searches allocation-free after warmup, with
 //!   O(1) clears, O(1) early-exit target accounting, and a CSR-resident
 //!   relaxation loop streaming the frozen adjacency and cost slices;
-//! * [`parallel`]: a minimal scoped fork–join (`parallel_map_with`) that
-//!   threads per-worker workspaces through a parallel region — the
-//!   engine's substitute for rayon in registry-less builds;
-//! * [`WorkerPool`]: the persistent sibling of [`parallel_map_with`] —
-//!   threads spawned once and parked between calls, so a long-lived
-//!   serving engine pays one condvar broadcast per batch instead of one
-//!   thread spawn per worker per call;
+//! * [`WorkerPool`]: a persistent work-stealing map with per-worker
+//!   state — threads spawned once and parked between calls, so a
+//!   long-lived serving engine pays one condvar broadcast per dispatch
+//!   instead of one thread spawn per worker per call; the engine's
+//!   substitute for rayon in registry-less builds;
+//! * [`parallel`]: the default thread count ([`num_threads`]) and a
+//!   scoped one-state-per-item map ([`parallel_zip_map`]) for a sharded
+//!   front-end's scatter;
 //! * [`Path`]: a validated walk through the graph, the unit of individual
 //!   path-based explanations;
 //! * [`Subgraph`]: an edge/node subset of a parent graph, the unit of
@@ -70,7 +71,7 @@ pub use ids::{EdgeId, NodeId, NodeKind};
 pub use loosepath::LoosePath;
 pub use mst::{kruskal, prim, prim_with, MstEdge, PrimWorkspace};
 pub use pagerank::{pagerank, PageRankConfig};
-pub use parallel::{num_threads, parallel_map, parallel_map_with, parallel_zip_map};
+pub use parallel::{num_threads, parallel_zip_map};
 pub use path::Path;
 pub use pool::{DispatchHook, InFlightJob, WorkerPool};
 pub use subgraph::Subgraph;

@@ -1,22 +1,16 @@
-//! Minimal fork–join parallelism for the search substrate.
+//! Scoped fork–join helpers for the search substrate.
 //!
 //! The workspace builds without a registry, so instead of rayon this
-//! module provides the one primitive the summarization engine needs: a
-//! scoped, indexed parallel map over a slice with per-worker state. The
-//! per-worker state slots are how callers thread reusable
-//! [`crate::DijkstraWorkspace`]s (or any scratch buffers) through a
-//! parallel region without allocating inside it.
-//!
-//! Work distribution is a shared atomic cursor — workers steal the next
-//! index when free — so skewed item costs (one giant terminal group next
-//! to many small ones) still balance.
+//! module provides the thread-count default every parallel region sizes
+//! itself by ([`num_threads`]) and one scoped primitive,
+//! [`parallel_zip_map`]: state `i` serves item `i` on its own scoped
+//! thread. Work-stealing maps over a slice run on the persistent
+//! [`crate::WorkerPool`] instead.
 
-// The scoped-parallel helpers predate the worker pool and run on
-// borrowed state via `std::thread::scope`, which the loom shim does not
-// model (its spawn requires 'static closures); their determinism is
-// pinned by the bit-identical prop suites instead.
-// xlint: allow(sync-facade) — scoped-thread layer, see note above.
-use std::sync::atomic::{AtomicUsize, Ordering};
+// The scoped helper runs on borrowed state via `std::thread::scope`,
+// which the loom shim does not model (its spawn requires 'static
+// closures); its determinism is pinned by the bit-identical prop suites
+// instead.
 // xlint: allow(sync-facade) — scoped-thread layer, see note above.
 use std::sync::{Mutex, PoisonError};
 
@@ -36,84 +30,13 @@ pub fn num_threads() -> usize {
     })
 }
 
-/// Map `f` over `items` in parallel, preserving order of results.
-///
-/// `states` provides one mutable scratch value per worker; the region
-/// runs with `states.len()` workers (callers size it with
-/// [`num_threads`]). With a single state slot — or a single item — the
-/// map degrades to a plain sequential loop on the calling thread, so
-/// small inputs never pay thread-spawn latency.
-///
-/// `f` receives `(worker_state, item_index, item)`.
-pub fn parallel_map_with<T, R, S>(
-    states: &mut [S],
-    items: &[T],
-    f: impl Fn(&mut S, usize, &T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-{
-    assert!(!states.is_empty(), "need at least one worker state");
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if states.len() == 1 || items.len() == 1 {
-        let state = &mut states[0];
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(state, i, item))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    let (f, cursor_ref, results_ref) = (&f, &cursor, &results);
-    // xlint: allow(sync-facade) — std scoped threads over borrowed state;
-    // no facade equivalent (loom spawn is 'static), prop-suite verified.
-    std::thread::scope(|scope| {
-        for state in states.iter_mut() {
-            scope.spawn(move || {
-                // Batch completed items locally; one lock per worker.
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    local.push((i, f(state, i, &items[i])));
-                }
-                if !local.is_empty() {
-                    results_ref
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .extend(local);
-                }
-            });
-        }
-    });
-    let mut pairs = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    pairs.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert_eq!(pairs.len(), items.len());
-    pairs.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`parallel_map_with`] with stateless workers sized by [`num_threads`].
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
-    let workers = num_threads().min(items.len()).max(1);
-    let mut states = vec![(); workers];
-    parallel_map_with(&mut states, items, |_, i, item| f(i, item))
-}
-
 /// Run `f(&mut states[i], &items[i])` for every index concurrently, one
 /// scoped thread per pair, returning results in pair order.
 ///
-/// This is the *statically paired* sibling of [`parallel_map_with`]:
-/// where `parallel_map_with` binds states to workers and lets workers
-/// steal arbitrary items, this binds state `i` to item `i` and nothing
-/// else — the scatter primitive of a sharded front-end, where replica
+/// Unlike [`crate::WorkerPool::map_with`], which binds states to
+/// workers and lets workers steal arbitrary items, this binds state `i`
+/// to item `i` and nothing else — the scatter primitive of a sharded
+/// front-end, where replica
 /// `i` must serve exactly its own sub-batch (its state owns the graph
 /// replica the sub-batch was routed to). With zero or one pairs the
 /// call runs on the calling thread and spawns nothing.
@@ -182,47 +105,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_order_and_coverage() {
-        let items: Vec<usize> = (0..257).collect();
-        let out = parallel_map(&items, |_, x| x * 2);
-        assert_eq!(out.len(), items.len());
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-    }
-
-    #[test]
-    fn worker_states_are_exclusive() {
-        let items: Vec<usize> = (0..100).collect();
-        let mut states = vec![0usize; 4];
-        let out = parallel_map_with(&mut states, &items, |count, _, x| {
-            *count += 1;
-            *x
-        });
-        assert_eq!(out, items);
-        // Every item was processed by exactly one worker.
-        assert_eq!(states.iter().sum::<usize>(), items.len());
-    }
-
-    #[test]
-    fn single_state_runs_sequentially() {
-        let mut states = vec![Vec::<usize>::new()];
-        let items = [10usize, 20, 30];
-        let out = parallel_map_with(&mut states, &items, |log, i, x| {
-            log.push(i);
-            *x + 1
-        });
-        assert_eq!(out, vec![11, 21, 31]);
-        assert_eq!(states[0], vec![0, 1, 2], "in-order on the calling thread");
-    }
-
-    #[test]
-    fn empty_items() {
-        let out = parallel_map(&[0u8; 0], |_, x| *x);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn thread_count_positive() {

@@ -1,20 +1,12 @@
 //! A persistent worker pool: threads spawned once, parked between calls.
 //!
-//! [`parallel_map_with`](crate::parallel_map_with) spawns and joins a
-//! scoped thread per worker on every call — fine for one wide batch,
-//! wasteful for a serving loop issuing many batches against the same
-//! engine. [`WorkerPool`] keeps its workers alive across calls: each
-//! [`WorkerPool::map_with`] wakes the parked threads, runs the same
-//! cursor-stealing indexed map with per-worker state, and parks them
-//! again, so steady-state dispatch costs one condvar broadcast instead
-//! of `workers` thread spawns.
-//!
-//! `map_with` mirrors the `parallel_map_with` signature and semantics
-//! exactly (same work stealing, same result ordering, same sequential
-//! fallback for a single state or item), so callers can swap one for the
-//! other without behavioral change — this is the "pinned thread pool
-//! behind the same `parallel_map_with` signature" slot of the multi-
-//! backend ROADMAP item.
+//! [`WorkerPool`] keeps its workers alive across calls: each
+//! [`WorkerPool::map_with`] wakes the parked threads, runs a
+//! cursor-stealing indexed map with one mutable state per worker, and
+//! parks them again, so steady-state dispatch costs one condvar
+//! broadcast instead of `workers` thread spawns. The serving engine
+//! runs every batch on it, down to a KMB batch's per-source closure
+//! searches.
 //!
 //! The pool's dispatch/teardown handshake (seq bump, shutdown flag,
 //! job-slot clear, broadcasts) is documented in `CONCURRENCY.md` at
@@ -250,9 +242,10 @@ impl WorkerPool {
         self.in_flight() == 0
     }
 
-    /// [`parallel_map_with`](crate::parallel_map_with) semantics on the
-    /// persistent pool: map `f` over `items` with work stealing and one
-    /// mutable state per worker, preserving item order in the result.
+    /// Map `f(state, index, item)` over `items` with work stealing and
+    /// one mutable state per worker, preserving item order in the
+    /// result. Workers draw the next index off a shared cursor when
+    /// free, so skewed item costs still balance.
     ///
     /// Uses `min(states.len(), items.len(), workers())` active workers;
     /// with a single active worker (or a single item) the map runs

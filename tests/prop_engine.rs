@@ -211,3 +211,123 @@ proptest! {
         }
     }
 }
+
+/// A wider random KG than [`arb_kg`]: every user rates at least one item
+/// and every item hangs off an entity shared with another item, so each
+/// user yields explanation paths and a group pooling all users reaches
+/// a few dozen terminals. One extra item node has no edges at all.
+#[derive(Debug, Clone)]
+struct WideKg {
+    g: Graph,
+    /// Users with their explanation paths.
+    users: Vec<(NodeId, Vec<LoosePath>)>,
+    isolated: NodeId,
+}
+
+fn arb_wide_kg() -> impl Strategy<Value = WideKg> {
+    (
+        8usize..20,  // users
+        10usize..24, // items
+        3usize..7,   // entities
+        proptest::collection::vec((0usize..64, 0usize..64, 1u8..=5), 10..60),
+        proptest::collection::vec((0usize..64, 0usize..64), 5..40),
+    )
+        .prop_map(|(nu, ni, na, interactions, attributes)| {
+            let mut g = Graph::new();
+            let users: Vec<NodeId> = (0..nu).map(|_| g.add_node(NodeKind::User)).collect();
+            let items: Vec<NodeId> = (0..ni).map(|_| g.add_node(NodeKind::Item)).collect();
+            let entities: Vec<NodeId> = (0..na).map(|_| g.add_node(NodeKind::Entity)).collect();
+            // Scaffolding: user u rated item u, item i carries entity
+            // i mod na (shared with item i + na, as ni > na).
+            let scaffold_ratings = (0..nu).map(|u| (u, u % ni, 4u8));
+            let mut seen = std::collections::HashSet::new();
+            for (u, i, r) in scaffold_ratings.chain(interactions) {
+                let (u, i) = (u % nu, i % ni);
+                if seen.insert((u, i)) {
+                    g.add_edge(users[u], items[i], r as f64, EdgeKind::Interaction);
+                }
+            }
+            let scaffold_attributes = (0..ni).map(|i| (i, i % na));
+            let mut seen = std::collections::HashSet::new();
+            for (i, a) in scaffold_attributes.chain(attributes) {
+                let (i, a) = (i % ni, a % na);
+                if seen.insert((i, a)) {
+                    g.add_edge(items[i], entities[a], 0.0, EdgeKind::Attribute);
+                }
+            }
+            let isolated = g.add_node(NodeKind::Item);
+            // Up to three u–i–e–j explanations per user.
+            let neighbors_of = |g: &Graph, n: NodeId, kind: NodeKind| -> Vec<NodeId> {
+                g.neighbors(n)
+                    .iter()
+                    .map(|(m, _)| *m)
+                    .filter(|m| g.kind(*m) == kind)
+                    .collect()
+            };
+            let users = users
+                .iter()
+                .map(|&u| {
+                    let mut paths = Vec::new();
+                    for i in neighbors_of(&g, u, NodeKind::Item) {
+                        for e in neighbors_of(&g, i, NodeKind::Entity) {
+                            for j in neighbors_of(&g, e, NodeKind::Item) {
+                                if j != i && paths.len() < 3 {
+                                    paths.push(LoosePath::ground(&g, vec![u, i, e, j]));
+                                }
+                            }
+                        }
+                    }
+                    (u, paths)
+                })
+                .collect();
+            WideKg { g, users, isolated }
+        })
+}
+
+/// A mixed KMB batch over `kg`: big user groups pooling every user's
+/// paths, plus the degenerate terminal sets the closure tasks must
+/// handle — duplicates, a single terminal, an unreachable terminal.
+fn wide_inputs(kg: &WideKg) -> Vec<SummaryInput> {
+    let group = |users: &[(NodeId, Vec<LoosePath>)]| {
+        let nodes: Vec<NodeId> = users.iter().map(|(u, _)| *u).collect();
+        let paths = users.iter().flat_map(|(_, p)| p.iter().cloned()).collect();
+        SummaryInput::user_group(&nodes, paths)
+    };
+    let all = group(&kg.users);
+    let half = group(&kg.users[..kg.users.len() / 2]);
+    let (u0, p0) = &kg.users[0];
+    let mut duplicated = SummaryInput::user_centric(*u0, p0.clone());
+    let copy = duplicated.terminals.clone();
+    duplicated.terminals.extend(copy.iter().rev());
+    let mut single = SummaryInput::user_centric(*u0, p0.clone());
+    single.terminals = vec![*u0];
+    let mut unreachable = group(&kg.users[1..]);
+    unreachable.terminals.push(kg.isolated);
+    vec![duplicated, all, single, unreachable, half]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn engine_kmb_batches_match_sequential_on_big_groups(kg in arb_wide_kg()) {
+        // A KMB batch runs its closure searches as one task queue on the
+        // pool; at every worker count each tree must equal the
+        // sequential Algorithm 1 run on the same input.
+        let inputs = wide_inputs(&kg);
+        prop_assert!(inputs[1].terminals.len() >= 12, "the pooled group is big");
+        for threads in [1usize, 2, 4] {
+            let mut engine = SummaryEngine::with_threads(threads);
+            // Two configs through one engine: the second batch switches
+            // every warm buffer to a new model mid-stream.
+            for lambda in [1.0, 100.0] {
+                let st = SteinerConfig { lambda, delta: 1.0 };
+                let got = engine.summarize_batch(&kg.g, &inputs, BatchMethod::Steiner(st));
+                prop_assert_eq!(got.len(), inputs.len());
+                for (input, got) in inputs.iter().zip(&got) {
+                    assert_bit_identical(&steiner_summary(&kg.g, input, &st), got)?;
+                }
+            }
+        }
+    }
+}
