@@ -276,6 +276,10 @@ fn run_modelcheck() {
             let s = modelcheck::ticket_set_exactly_once();
             (s.schedules_explored, s.exhausted)
         }),
+        ("ticket_set_close", || {
+            let s = modelcheck::ticket_set_close_wakes_responder(false);
+            (s.schedules_explored, s.exhausted)
+        }),
         ("linger_flush", || {
             let s = modelcheck::linger_flush_no_deadlock();
             (s.schedules_explored, s.exhausted)

@@ -146,9 +146,10 @@
 //!   watched ticket, its membership lands on the set's shared
 //!   condvar'd ready list — [`TicketSet::wait_any`] /
 //!   [`TicketSet::wait_any_timeout`] pop resolutions in **completion
-//!   order**, and [`TicketSet::poll`] is the non-blocking probe. Every
-//!   added ticket is yielded exactly once, as a [`CompletedTicket`]
-//!   carrying the tag plus the same outcome pair
+//!   order**, [`TicketSet::poll`] is the non-blocking probe, and
+//!   [`TicketSet::wait_ready`] is the responder's blocking wait (see
+//!   *Closing* below). Every added ticket is yielded exactly once, as
+//!   a [`CompletedTicket`] carrying the tag plus the same outcome pair
 //!   [`SummaryTicket::wait_meta`] would have returned — bit-identical
 //!   results, same [`DispatchMeta`].
 //! * **No-deadlock discipline.** Before blocking, `wait_any` closes
@@ -158,6 +159,16 @@
 //!   deadlock the multiplexed consumer either. A *dropped* set behaves
 //!   like shutdown-drain: the member tickets drop, but the dispatcher
 //!   still resolves every slot — nothing hangs, nothing leaks.
+//! * **Closing.** A producer that feeds a concurrent responder ends the
+//!   stream with [`TicketSet::close`]: no member joins after it, and
+//!   it closes the linger window up to every member's request (no
+//!   later request could fill the window any more). The responder's
+//!   [`TicketSet::wait_ready`] does *not* flush while the set is open,
+//!   so a live stream coalesces exactly as if nobody were waiting; it
+//!   returns `None` only once the set is closed and every member has
+//!   been yielded. The closed flag lives under the ready list's lock
+//!   and `close` notifies, so the close cannot slip past a responder
+//!   about to block (`ticket_set_close_wakes_responder`).
 //! * **Wire framing.** [`crate::wire`] carries versioned request/
 //!   response records over any `Read`/`Write` pair in a compact
 //!   length-prefixed binary framing (all `f64` params round-trip
@@ -172,9 +183,12 @@
 //!   | 1 | `kind: u8` | record kind (summary/mutation request/response) |
 //!   | `len − 2` | body | the record's fields, field-by-field |
 //!
-//!   [`crate::wire::serve_stream`] decodes frames, submits through the
-//!   queue, and writes responses back in completion order with
-//!   request-id correlation (the id is the ticket-set tag).
+//!   [`crate::wire::serve_stream`] reads on the calling thread: it
+//!   decodes frames, submits through the queue and adds each ticket to
+//!   a set (the request id is the tag), and closes the set at EOF or
+//!   on a decode error. A responder thread drains the set with
+//!   `wait_ready` and writes each response as soon as it completes, in
+//!   completion order with request-id correlation.
 //!
 //! [`FaultSite::AdmissionDispatch`]: crate::faults::FaultSite::AdmissionDispatch
 
@@ -661,12 +675,21 @@ impl TicketSlot {
 }
 
 /// The shared ready list of one [`TicketSet`]: resolved members land
-/// here in completion order, and `wait_any` consumers block on the
-/// condvar.
+/// here in completion order, and `wait_any` / `wait_ready` consumers
+/// block on the condvar.
 #[derive(Debug)]
 struct ReadySink {
-    ready: Mutex<VecDeque<u64>>,
+    state: Mutex<SinkState>,
     cv: Condvar,
+}
+
+/// Everything a blocked consumer waits on, under the one sink lock.
+#[derive(Debug, Default)]
+struct SinkState {
+    /// Resolved members, in completion order.
+    ready: VecDeque<u64>,
+    /// Set once by [`TicketSet::close`]: no member joins after it.
+    closed: bool,
 }
 
 /// One slot's registration in a [`ReadySink`].
@@ -678,7 +701,9 @@ struct SetWatch {
 
 impl SetWatch {
     fn fire(self) {
-        lock_recovering(&self.sink.ready).push_back(self.member);
+        lock_recovering(&self.sink.state)
+            .ready
+            .push_back(self.member);
         self.sink.cv.notify_all();
     }
 }
@@ -860,7 +885,7 @@ impl TicketSet {
     pub fn new() -> Self {
         TicketSet {
             sink: Arc::new(ReadySink {
-                ready: Mutex::new(VecDeque::new()),
+                state: Mutex::new(SinkState::default()),
                 cv: Condvar::new(),
             }),
             inner: Mutex::new(SetInner {
@@ -872,7 +897,9 @@ impl TicketSet {
 
     /// Add `ticket` under `tag`. An already-resolved ticket is
     /// immediately ready; tags need not be unique (each membership is
-    /// tracked separately).
+    /// tracked separately). Adding to a [closed](TicketSet::close) set
+    /// breaks the producer's promise: `wait_ready` may already have
+    /// returned `None` (`poll` and `wait_any` still yield the member).
     pub fn add(&self, tag: u64, ticket: SummaryTicket) {
         let mut inner = lock_recovering(&self.inner);
         let member = inner.next_member;
@@ -900,7 +927,7 @@ impl TicketSet {
     /// the queue (a pure poll, like [`SummaryTicket::try_wait`]).
     pub fn poll(&self) -> Option<CompletedTicket> {
         loop {
-            let member = lock_recovering(&self.sink.ready).pop_front()?;
+            let member = lock_recovering(&self.sink.state).ready.pop_front()?;
             let mut inner = lock_recovering(&self.inner);
             if let Some((tag, ticket)) = inner.members.remove(&member) {
                 drop(inner);
@@ -925,6 +952,102 @@ impl TicketSet {
         self.wait_inner(None)
     }
 
+    /// Block until any member resolves and yield it (completion
+    /// order) **without** flushing the linger window, so a producer
+    /// that keeps adding members coalesces exactly as if nobody were
+    /// waiting. Returns `None` only once the set is
+    /// [closed](TicketSet::close) and every member has been yielded;
+    /// on an open set it blocks until the next resolution or the
+    /// close.
+    ///
+    /// Meant for one responder thread draining a set that one producer
+    /// fills: it may decide "closed and empty" only because no other
+    /// consumer yields members behind its back.
+    pub fn wait_ready(&self) -> Option<CompletedTicket> {
+        loop {
+            if let Some(done) = self.poll() {
+                return Some(done);
+            }
+            let closed = lock_recovering(&self.sink.state).closed;
+            // A closed set gains no members, so once it is empty it
+            // stays empty and `None` is final.
+            if closed && self.is_empty() {
+                return None;
+            }
+            // Block only while nothing is ready and `closed` still
+            // reads as observed above. Both change only under the sink
+            // lock and both changes notify, so no wakeup is lost. A
+            // closed set with members left blocks until the next one
+            // resolves; `close` flushed their requests, so it will.
+            let sink = lock_recovering(&self.sink.state);
+            if sink.ready.is_empty() && sink.closed == closed {
+                drop(
+                    self.sink
+                        .cv
+                        .wait(sink)
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+            }
+        }
+    }
+
+    /// Close the set: the producer promises to add no more members,
+    /// and a [`TicketSet::wait_ready`] consumer returns `None` once the
+    /// members it holds are yielded. Closing first flushes the linger
+    /// window up to every member's own request, as `wait_any` does
+    /// before it blocks: no further request can arrive to fill the
+    /// window, so a lingering coalescer would otherwise strand the
+    /// members the responder is still waiting for. Idempotent.
+    pub fn close(&self) {
+        self.close_with(true);
+    }
+
+    /// [`TicketSet::close`] with the wake-up left out: the
+    /// `ticket_set_close_wakes_responder` model scenario's mutant,
+    /// which the checker must report as a lost wakeup.
+    #[cfg(xsum_loom)]
+    pub(crate) fn close_without_notify(&self) {
+        self.close_with(false);
+    }
+
+    fn close_with(&self, notify: bool) {
+        self.flush_members();
+        lock_recovering(&self.sink.state).closed = true;
+        if notify {
+            self.sink.cv.notify_all();
+        }
+    }
+
+    /// Close the linger window up to every member's own request — the
+    /// [`SummaryTicket::wait`] no-deadlock discipline, extended to the
+    /// whole set. Returns whether the set had any member to flush.
+    fn flush_members(&self) -> bool {
+        let inner = lock_recovering(&self.inner);
+        if inner.members.is_empty() {
+            return false;
+        }
+        // Flush the highest-seq member per distinct queue:
+        // `flush_up_to` is a high-water mark, so that one flush covers
+        // every lower-seq member of the same queue (a set may
+        // multiplex several queues).
+        let mut latest: Vec<&SummaryTicket> = Vec::new();
+        for (_, ticket) in inner.members.values() {
+            let key = Arc::as_ptr(&ticket.shared);
+            match latest
+                .iter_mut()
+                .find(|t| std::ptr::eq(Arc::as_ptr(&t.shared), key))
+            {
+                Some(t) if t.seq >= ticket.seq => {}
+                Some(t) => *t = ticket,
+                None => latest.push(ticket),
+            }
+        }
+        for ticket in latest {
+            ticket.flush_own_request();
+        }
+        true
+    }
+
     /// [`TicketSet::wait_any`] bounded by `timeout`: `None` on an
     /// empty set *or* when nothing resolved in time (check
     /// [`TicketSet::is_empty`] to tell the two apart; the members stay
@@ -940,38 +1063,16 @@ impl TicketSet {
             if let Some(done) = self.poll() {
                 return Some(done);
             }
-            {
-                let inner = lock_recovering(&self.inner);
-                if inner.members.is_empty() {
-                    return None;
-                }
-                // Flush the highest-seq member per distinct queue:
-                // `flush_up_to` is a high-water mark, so that one
-                // flush covers every lower-seq member of the same
-                // queue (a set may multiplex several queues).
-                let mut latest: Vec<&SummaryTicket> = Vec::new();
-                for (_, ticket) in inner.members.values() {
-                    let key = Arc::as_ptr(&ticket.shared);
-                    match latest
-                        .iter_mut()
-                        .find(|t| std::ptr::eq(Arc::as_ptr(&t.shared), key))
-                    {
-                        Some(t) if t.seq >= ticket.seq => {}
-                        Some(t) => *t = ticket,
-                        None => latest.push(ticket),
-                    }
-                }
-                for ticket in latest {
-                    ticket.flush_own_request();
-                }
+            if !self.flush_members() {
+                return None;
             }
             // Block on the sink only while it is verifiably empty (the
             // push path needs the same lock, so no wakeup is lost).
             // `inner` is NOT held here: `add` takes `inner` → sink, so
             // holding `inner` across this wait would deadlock a
             // producer.
-            let ready = lock_recovering(&self.sink.ready);
-            if !ready.is_empty() {
+            let sink = lock_recovering(&self.sink.state);
+            if !sink.ready.is_empty() {
                 continue;
             }
             match deadline {
@@ -979,7 +1080,7 @@ impl TicketSet {
                     drop(
                         self.sink
                             .cv
-                            .wait(ready)
+                            .wait(sink)
                             .unwrap_or_else(PoisonError::into_inner),
                     );
                 }
@@ -993,7 +1094,7 @@ impl TicketSet {
                     drop(
                         self.sink
                             .cv
-                            .wait_timeout(ready, d - now)
+                            .wait_timeout(sink, d - now)
                             .unwrap_or_else(PoisonError::into_inner)
                             .0,
                     );
@@ -2712,6 +2813,64 @@ mod tests {
         set.add(8, t);
         let done = set.poll().expect("resolved member polls ready");
         assert_eq!(done.tag, 8);
+    }
+
+    #[test]
+    fn ticket_set_wait_ready_lingers_until_close_then_ends() {
+        let ex = table1_example();
+        let queue = AdmissionQueue::for_engine(
+            ex.graph.clone(),
+            SummaryEngine::with_threads(1),
+            AdmissionConfig {
+                queue_bound: 64,
+                max_batch: 8,
+                linger_tickets: usize::MAX, // only the close can flush it
+            },
+        );
+        let set = TicketSet::new();
+        let (completed_while_open, yielded) = std::thread::scope(|scope| {
+            let responder = scope.spawn(|| {
+                let mut tags = Vec::new();
+                while let Some(done) = set.wait_ready() {
+                    assert!(done.result.is_ok());
+                    tags.push(done.tag);
+                }
+                tags
+            });
+            set.add(1, queue.submit(ex.input(), st_method()).unwrap());
+            set.add(2, queue.submit(ex.input(), st_method()).unwrap());
+            // The waiting responder must leave the window open: with
+            // it open nothing dispatches, however long we wait, so the
+            // sleep only gives a wrongful flush time to show. Asserted
+            // after the close, so a failure cannot strand the responder.
+            std::thread::sleep(Duration::from_millis(50));
+            let completed = queue.stats().completed;
+            set.close();
+            (completed, responder.join().unwrap())
+        });
+        assert_eq!(completed_while_open, 0, "wait_ready flushed the window");
+        let mut tags = yielded;
+        tags.sort_unstable();
+        assert_eq!(tags, vec![1, 2], "every member yielded before None");
+        assert!(set.is_empty());
+        assert!(
+            set.wait_ready().is_none(),
+            "a closed empty set never blocks"
+        );
+    }
+
+    #[test]
+    fn ticket_set_close_wakes_a_responder_on_an_empty_set() {
+        // The close may land before or after the responder blocks; the
+        // `ticket_set_close_wakes_responder` model scenario explores
+        // both orders exhaustively.
+        let set = TicketSet::new();
+        std::thread::scope(|scope| {
+            let responder = scope.spawn(|| set.wait_ready().is_none());
+            set.close();
+            set.close(); // idempotent
+            assert!(responder.join().unwrap(), "close ends the wait with None");
+        });
     }
 
     #[test]

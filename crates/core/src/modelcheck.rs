@@ -32,6 +32,12 @@
 //!   [`TicketSet`] is yielded exactly once across producer /
 //!   dispatcher / consumer interleavings, and a submitted-but-dropped
 //!   ticket disturbs nothing.
+//! * [`ticket_set_close_wakes_responder`] — the `serve_stream`
+//!   responder protocol: a responder blocked in
+//!   [`TicketSet::wait_ready`] yields every ticket exactly once and
+//!   sees `None` only after the producer's [`TicketSet::close`] and
+//!   both yields. `buggy = true` closes without the wake-up, which the
+//!   checker must catch as a deadlock.
 //! * [`linger_flush_no_deadlock`] — a linger window larger than the
 //!   queue contents cannot deadlock `SummaryTicket::wait` (the
 //!   flush-own-request discipline).
@@ -56,7 +62,8 @@ use crate::input::{Scenario, SummaryInput};
 use crate::steiner::SteinerConfig;
 use crate::summary::Summary;
 use loom::{model_with, ModelConfig, ModelStats};
-use xsum_graph::sync::atomic::{AtomicU64, Ordering};
+use std::mem::ManuallyDrop;
+use xsum_graph::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use xsum_graph::sync::{thread, Arc, Condvar, Mutex, PoisonError};
 use xsum_graph::{Graph, NodeId, Subgraph, WorkerPool};
 
@@ -397,6 +404,87 @@ pub fn ticket_set_exactly_once() -> ModelStats {
             assert_eq!(seen, [1, 1], "a ticket was yielded zero or two times");
             assert!(set.is_empty(), "drained set still has members");
             assert!(set.poll().is_none(), "drained set yielded a third ticket");
+        },
+    )
+}
+
+/// The close protocol `serve_stream`'s responder relies on. A
+/// responder thread blocks in [`TicketSet::wait_ready`] on an open,
+/// empty set; the root (the producer) adds two tickets that the mock
+/// dispatcher resolves, then closes the set. Invariants asserted
+/// across every explored interleaving:
+/// * each ticket is yielded exactly once, with an `Ok` result;
+/// * `None` comes only after the producer began closing and after
+///   both yields (a lost wakeup on either the resolutions or the close
+///   deadlocks the root's join and fails the model).
+///
+/// With `buggy = true` the close sets the flag but skips its
+/// notification; the schedule in which the responder yields both
+/// tickets and blocks again before the close then never wakes, and
+/// the caller (`tests/model_concurrency.rs`) asserts the checker
+/// reports that deadlock.
+pub fn ticket_set_close_wakes_responder(buggy: bool) -> ModelStats {
+    model_with(
+        ModelConfig {
+            max_schedules: 500,
+            random_runs: 100,
+            ..ModelConfig::default()
+        },
+        move || {
+            // Dropped by hand at the end. When the checker tears down a
+            // failing schedule (the mutant's deadlock), every thread
+            // unwinds with the scheduler already gone, and the queue's
+            // Drop — a shutdown handshake with the dispatcher — must not
+            // run there.
+            let queue = ManuallyDrop::new(AdmissionQueue::new(
+                MockBackend::healthy(),
+                AdmissionConfig {
+                    queue_bound: 8,
+                    max_batch: 4,
+                    linger_tickets: 1,
+                },
+            ));
+            let set = Arc::new(TicketSet::new());
+            let closing = Arc::new(AtomicBool::new(false));
+
+            let responder = {
+                let set = Arc::clone(&set);
+                let closing = Arc::clone(&closing);
+                thread::spawn(move || {
+                    let mut seen = [0u32; 2];
+                    while let Some(done) = set.wait_ready() {
+                        assert!(done.result.is_ok(), "mock backend never fails a summary");
+                        seen[done.tag as usize] += 1;
+                    }
+                    assert!(
+                        closing.load(Ordering::SeqCst),
+                        "wait_ready returned None on an open set"
+                    );
+                    seen
+                })
+            };
+
+            for tag in 0..2u64 {
+                let ticket = queue
+                    .submit(mock_input(tag as u32), mock_method())
+                    .expect("queue has room");
+                set.add(tag, ticket);
+            }
+            closing.store(true, Ordering::SeqCst);
+            if buggy {
+                set.close_without_notify();
+            } else {
+                set.close();
+            }
+
+            let seen = responder.join().expect("responder panicked");
+            assert_eq!(
+                seen,
+                [1, 1],
+                "a ticket was yielded zero or two times before None"
+            );
+            assert!(set.is_empty(), "None came with members left");
+            drop(ManuallyDrop::into_inner(queue));
         },
     )
 }

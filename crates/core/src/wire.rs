@@ -34,17 +34,36 @@
 //!
 //! # Serving
 //!
-//! [`serve_stream`] decodes request frames, submits summaries through
-//! the queue, registers the tickets in a
-//! [`TicketSet`](crate::admission::TicketSet) tagged by request id,
-//! and writes [`SummaryResponse`] frames back in **completion order**
-//! (the id is the correlation handle; mutation barriers are applied
-//! in stream order and answered synchronously). Results are
-//! bit-identical to direct [`AdmissionQueue::submit`] +
+//! [`serve_stream`] runs two halves over one
+//! [`TicketSet`](crate::admission::TicketSet) and one writer:
+//!
+//! * The **reader** (the calling thread) decodes request frames,
+//!   submits summaries through the queue and registers the tickets in
+//!   the set, tagged by request id (the id is the correlation
+//!   handle). It applies mutation barriers in stream order and writes
+//!   their acknowledgements, and any admission refusal, itself —
+//!   flushed before it reads the next frame.
+//! * The **responder** (a scoped thread, [`xsum_graph::join`]) blocks
+//!   on [`TicketSet::wait_ready`](crate::admission::TicketSet::wait_ready),
+//!   writes every ready [`SummaryResponse`] in **completion order**
+//!   each time it wakes, then flushes once. A response leaves as soon
+//!   as its summary completes; it does not wait for another request
+//!   frame, so a client may send its next request only after reading
+//!   the last answer.
+//!
+//! Frames go out whole under the writer lock, which is never held
+//! across a set or queue call. The responder's wait does not flush the
+//! admission linger window, so `linger_tickets` batching is the same as
+//! with nobody waiting. At EOF or on a decode error the reader closes
+//! the set, the responder answers every admitted request, and the run
+//! ends; the first write error ends it with [`WireError::Io`]. Results
+//! are bit-identical to direct [`AdmissionQueue::submit`] +
 //! [`SummaryTicket::wait`](crate::admission::SummaryTicket::wait).
 
 use std::io::{Read, Write};
 
+use xsum_graph::sync::atomic::{AtomicBool, Ordering};
+use xsum_graph::sync::{Mutex, PoisonError};
 use xsum_graph::{EdgeId, LoosePath, NodeId};
 
 use crate::admission::{AdmissionQueue, CompletedTicket, TicketSet};
@@ -698,67 +717,100 @@ fn completed_response(done: CompletedTicket) -> WireFrame {
     })
 }
 
-/// Serve a framed request stream against `queue`: decode frames from
-/// `reader`, submit summaries (tickets multiplexed through a
-/// [`TicketSet`] tagged by request id), apply mutations as barriers,
-/// and write responses to `writer` in **completion order**. Returns
-/// after a clean EOF once every admitted ticket's response is written.
-///
-/// On a decode error the in-flight tickets are still drained (their
-/// responses written best-effort) before the error is returned — a
-/// corrupt frame never strands an admitted request without an answer.
-pub fn serve_stream<R: Read, W: Write>(
-    mut reader: R,
-    mut writer: W,
-    queue: &AdmissionQueue,
-) -> Result<ServeReport, WireError> {
-    let set = TicketSet::new();
-    let mut report = ServeReport::default();
+/// The writer both halves of [`serve_stream`] share.
+struct SharedWriter<W> {
+    state: Mutex<WriterState<W>>,
+    /// Set when the responder exits, however it exits. The reader polls
+    /// it at each frame boundary instead of taking the writer lock, so
+    /// a responder blocked mid-write can never stall the read side.
+    responder_gone: AtomicBool,
+}
 
-    let drain = |set: &TicketSet, writer: &mut W, report: &mut ServeReport| loop {
-        match set.wait_any() {
-            Some(done) => {
-                write_frame(writer, &completed_response(done))?;
-                report.responses += 1;
-            }
-            None => return Ok::<(), WireError>(()),
-        }
-    };
+struct WriterState<W> {
+    writer: W,
+    /// The first write or flush error; once set, nothing more is
+    /// written.
+    error: Option<std::io::Error>,
+}
 
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(e) => {
-                // Best-effort drain: admitted requests still answer.
-                let _ = drain(&set, &mut writer, &mut report);
-                let _ = writer.flush();
-                return Err(e);
-            }
+impl<W: Write> SharedWriter<W> {
+    /// Write `bytes` (whole frames) and flush, under one lock hold so
+    /// frames from the two halves never interleave. `false` once any
+    /// write has failed, or a writer panicked mid-frame (poisoning the
+    /// lock, and perhaps leaving a torn frame behind): the caller
+    /// stops.
+    fn send(&self, bytes: &[u8]) -> bool {
+        let Ok(mut st) = self.state.lock() else {
+            return false;
         };
-        match frame {
+        if st.error.is_some() {
+            return false;
+        }
+        match st.writer.write_all(bytes).and_then(|()| st.writer.flush()) {
+            Ok(()) => true,
+            Err(e) => {
+                st.error = Some(e);
+                false
+            }
+        }
+    }
+
+    /// Pairs with the `Release` store in [`ResponderExit`]. The flag
+    /// publishes nothing else: the write error, if any, travels under
+    /// the writer lock.
+    fn responder_gone(&self) -> bool {
+        self.responder_gone.load(Ordering::Acquire)
+    }
+}
+
+/// Marks the responder gone when it returns or unwinds.
+struct ResponderExit<'a>(&'a AtomicBool);
+
+impl Drop for ResponderExit<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Closes the set when the reader returns or unwinds, so the responder
+/// always finishes and the join in [`serve_stream`] always returns.
+struct CloseOnExit<'a>(&'a TicketSet);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The reader half: decode frames, submit summaries into `set`, apply
+/// mutations and answer them (and admission refusals) itself. Stops at
+/// EOF, at a decode error, at its own failed write, or at the first
+/// frame boundary after the responder is gone.
+fn read_requests<R: Read, W: Write>(
+    reader: &mut R,
+    set: &TicketSet,
+    out: &SharedWriter<W>,
+    queue: &AdmissionQueue,
+    report: &mut ServeReport,
+) -> Result<(), WireError> {
+    while !out.responder_gone() {
+        let Some(frame) = read_frame(reader)? else {
+            break;
+        };
+        let response = match frame {
             WireFrame::SummaryRequest(req) => {
                 report.summaries += 1;
                 match queue.submit(req.input, req.method) {
-                    Ok(ticket) => set.add(req.id, ticket),
-                    Err(e) => {
-                        // Refused at admission (shut down / poisoned):
-                        // answer immediately, preserving correlation.
-                        write_frame(
-                            &mut writer,
-                            &WireFrame::SummaryResponse(SummaryResponse {
-                                id: req.id,
-                                result: Err(e.to_string()),
-                            }),
-                        )?;
-                        report.responses += 1;
+                    Ok(ticket) => {
+                        set.add(req.id, ticket);
+                        continue;
                     }
-                }
-                // Opportunistic drain keeps responses flowing while
-                // the stream is still producing requests.
-                while let Some(done) = set.poll() {
-                    write_frame(&mut writer, &completed_response(done))?;
-                    report.responses += 1;
+                    // Refused at admission (shut down / poisoned):
+                    // answer immediately, preserving correlation.
+                    Err(e) => WireFrame::SummaryResponse(SummaryResponse {
+                        id: req.id,
+                        result: Err(e.to_string()),
+                    }),
                 }
             }
             WireFrame::MutationRequest(req) => {
@@ -768,25 +820,121 @@ pub fn serve_stream<R: Read, W: Write>(
                         queue.mutate(move |g| g.set_weight(edge, weight))
                     }
                 };
-                write_frame(
-                    &mut writer,
-                    &WireFrame::MutationResponse(MutationResponse {
-                        id: req.id,
-                        result: result.map_err(|e| e.to_string()),
-                    }),
-                )?;
-                report.responses += 1;
+                WireFrame::MutationResponse(MutationResponse {
+                    id: req.id,
+                    result: result.map_err(|e| e.to_string()),
+                })
             }
             WireFrame::SummaryResponse(_) | WireFrame::MutationResponse(_) => {
-                let _ = drain(&set, &mut writer, &mut report);
-                let _ = writer.flush();
                 return Err(WireError::Corrupt("response frame on the request stream"));
             }
+        };
+        if !out.send(&encode_frame(&response)) {
+            break;
         }
+        report.responses += 1;
     }
-    drain(&set, &mut writer, &mut report)?;
-    writer.flush()?;
-    Ok(report)
+    Ok(())
+}
+
+/// The responder half: each time [`TicketSet::wait_ready`] wakes it,
+/// encode every ready response, then write and flush them in one go.
+/// Returns how many responses it wrote.
+fn write_responses<W: Write>(set: &TicketSet, out: &SharedWriter<W>) -> u64 {
+    let _exit = ResponderExit(&out.responder_gone);
+    let mut written = 0;
+    let mut bytes = Vec::new();
+    while let Some(first) = set.wait_ready() {
+        // Encode outside the writer lock, and take no set call inside it.
+        bytes.clear();
+        let mut frames = 0;
+        let mut next = Some(first);
+        while let Some(done) = next {
+            bytes.extend_from_slice(&encode_frame(&completed_response(done)));
+            frames += 1;
+            next = set.poll();
+        }
+        if !out.send(&bytes) {
+            break;
+        }
+        written += frames;
+    }
+    written
+}
+
+/// Serve a framed request stream against `queue`: decode frames from
+/// `reader`, submit summaries (tickets multiplexed through a
+/// [`TicketSet`] tagged by request id), apply mutations as barriers,
+/// and write responses to `writer` as soon as they are ready, in
+/// **completion order**.
+///
+/// Two halves run concurrently over one [`TicketSet`] and one writer
+/// mutex:
+///
+/// * the **reader**, on the calling thread, decodes frames, submits
+///   summaries into the set, applies mutation barriers in stream
+///   order, and itself writes (and flushes) each mutation
+///   acknowledgement and each admission refusal before it reads the
+///   next frame;
+/// * the **responder**, on a scoped thread ([`xsum_graph::join`]),
+///   blocks on [`TicketSet::wait_ready`] and, each time it wakes,
+///   writes every ready [`SummaryResponse`] and flushes once.
+///
+/// A summary's response therefore leaves when its summary completes,
+/// not when the next request frame arrives, so a client may wait for
+/// an answer before it sends its next request. Waiting on the set does
+/// not flush the admission linger window, so
+/// [`AdmissionConfig::linger_tickets`](crate::admission::AdmissionConfig::linger_tickets)
+/// batching is unchanged: with a window wider than one ticket, a lone
+/// request waits for company (or for the end of the stream) before it
+/// dispatches, so a client that waits for each answer needs
+/// `linger_tickets = 1`, the default. Frames are written whole under
+/// the writer lock, which is never held across a set or queue call.
+///
+/// Returns after a clean EOF once every admitted ticket's response is
+/// written. On a decode error the reader closes the set all the same,
+/// so the responder still answers every admitted request before the
+/// error is returned — a corrupt frame never strands an admitted
+/// request without an answer. The first write (or flush) error ends
+/// the run with [`WireError::Io`]: nothing more is written, the reader
+/// stops at its next frame boundary, and responses still in flight
+/// are dropped unanswered.
+///
+/// # Panics
+/// A panic on either half is resumed on the calling thread after the
+/// other half has finished.
+pub fn serve_stream<R: Read, W: Write + Send>(
+    mut reader: R,
+    writer: W,
+    queue: &AdmissionQueue,
+) -> Result<ServeReport, WireError> {
+    let set = TicketSet::new();
+    let out = SharedWriter {
+        state: Mutex::new(WriterState {
+            writer,
+            error: None,
+        }),
+        responder_gone: AtomicBool::new(false),
+    };
+    let mut report = ServeReport::default();
+    let (read, responses) = xsum_graph::join(
+        || {
+            let _close = CloseOnExit(&set);
+            read_requests(&mut reader, &set, &out, queue, &mut report)
+        },
+        || write_responses(&set, &out),
+    );
+    report.responses += responses;
+    let write_error = out
+        .state
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .error
+        .take();
+    match write_error {
+        Some(e) => Err(WireError::Io(e)),
+        None => read.map(|()| report),
+    }
 }
 
 #[cfg(test)]

@@ -28,9 +28,10 @@
 //!   long-lived serving engine pays one condvar broadcast per dispatch
 //!   instead of one thread spawn per worker per call; the engine's
 //!   substitute for rayon in registry-less builds;
-//! * [`parallel`]: the default thread count ([`num_threads`]) and a
+//! * [`parallel`]: the default thread count ([`num_threads`]), a
 //!   scoped one-state-per-item map ([`parallel_zip_map`]) for a sharded
-//!   front-end's scatter;
+//!   front-end's scatter, and a scoped two-closure [`join`] for the
+//!   wire front-end's reader and responder;
 //! * [`Path`]: a validated walk through the graph, the unit of individual
 //!   path-based explanations;
 //! * [`Subgraph`]: an edge/node subset of a parent graph, the unit of
@@ -71,7 +72,7 @@ pub use ids::{EdgeId, NodeId, NodeKind};
 pub use loosepath::LoosePath;
 pub use mst::{kruskal, prim, prim_with, MstEdge, PrimWorkspace};
 pub use pagerank::{pagerank, PageRankConfig};
-pub use parallel::{num_threads, parallel_zip_map};
+pub use parallel::{join, num_threads, parallel_zip_map};
 pub use path::Path;
 pub use pool::{DispatchHook, InFlightJob, WorkerPool};
 pub use subgraph::Subgraph;

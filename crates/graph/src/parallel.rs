@@ -2,15 +2,17 @@
 //!
 //! The workspace builds without a registry, so instead of rayon this
 //! module provides the thread-count default every parallel region sizes
-//! itself by ([`num_threads`]) and one scoped primitive,
-//! [`parallel_zip_map`]: state `i` serves item `i` on its own scoped
-//! thread. Work-stealing maps over a slice run on the persistent
-//! [`crate::WorkerPool`] instead.
+//! itself by ([`num_threads`]) and two scoped primitives:
+//! [`parallel_zip_map`], where state `i` serves item `i` on its own
+//! scoped thread, and [`join`], which runs two closures concurrently
+//! (the wire front-end's reader and responder halves). Work-stealing
+//! maps over a slice run on the persistent [`crate::WorkerPool`]
+//! instead.
 
-// The scoped helper runs on borrowed state via `std::thread::scope`,
+// The scoped helpers run on borrowed state via `std::thread::scope`,
 // which the loom shim does not model (its spawn requires 'static
-// closures); its determinism is pinned by the bit-identical prop suites
-// instead.
+// closures); their determinism is pinned by the bit-identical prop
+// suites instead.
 // xlint: allow(sync-facade) — scoped-thread layer, see note above.
 use std::sync::{Mutex, PoisonError};
 
@@ -74,9 +76,7 @@ where
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let panic_ref = &panic_slot;
-    // xlint: allow(sync-facade) — std scoped threads over borrowed state;
-    // no facade equivalent (loom spawn is 'static), prop-suite verified.
-    std::thread::scope(|scope| {
+    scoped(|scope| {
         for ((state, item), slot) in states.iter_mut().zip(items).zip(out.iter_mut()) {
             scope.spawn(
                 move || match catch_unwind(AssertUnwindSafe(|| f(state, item))) {
@@ -102,9 +102,51 @@ where
     out.into_iter().flatten().collect()
 }
 
+/// Run `a` on the calling thread and `b` on one scoped thread,
+/// concurrently, and return both results once both have finished.
+///
+/// `b` may borrow the caller's state for as long as the call lasts. It
+/// must not wait for `a` to *return*: anything `b` blocks on has to be
+/// released on every exit path of `a`, unwinding included (a drop
+/// guard in `a` does that), or the call never returns.
+///
+/// # Panics
+/// If either closure panics, the other still runs to completion, then
+/// the **original payload** is resumed on the calling thread — `a`'s
+/// if both panicked, since that is the caller's own failure.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+    let (ra, rb) = scoped(|scope| {
+        let hb = scope.spawn(b);
+        let ra = catch_unwind(AssertUnwindSafe(a));
+        // Joining the handle explicitly hands back `b`'s own panic
+        // payload instead of the scope's generic one.
+        (ra, hb.join())
+    });
+    match (ra, rb) {
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(payload), _) | (Ok(_), Err(payload)) => resume_unwind(payload),
+    }
+}
+
+/// The module's one `std::thread::scope` call site, shared by
+/// [`parallel_zip_map`] and [`join`].
+fn scoped<'env, T>(f: impl for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T) -> T {
+    // xlint: allow(sync-facade) — std scoped threads over borrowed state;
+    // no facade equivalent (loom spawn is 'static), prop-suite verified.
+    std::thread::scope(f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn thread_count_positive() {
@@ -154,5 +196,64 @@ mod tests {
             })
         });
         assert!(caught.is_err(), "pair panic must reach the caller");
+    }
+
+    #[test]
+    fn join_runs_both_closures_concurrently() {
+        // `a` waits for a value only `b` can send, so the call returns
+        // only if the two really run at the same time.
+        let caller = std::thread::current().id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut a_state = 0usize;
+        let (a, b) = join(
+            || {
+                a_state = rx.recv().expect("b sends once");
+                (std::thread::current().id(), a_state + 1)
+            },
+            move || {
+                tx.send(41).expect("a is receiving");
+                std::thread::current().id()
+            },
+        );
+        assert_eq!(a, (caller, 42), "a runs on the calling thread");
+        assert_ne!(b, caller, "b runs on its own thread");
+        assert_eq!(a_state, 41, "a may mutate borrowed caller state");
+    }
+
+    #[test]
+    fn join_b_panic_propagates_with_its_payload() {
+        let a_ran = std::sync::atomic::AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            join(
+                || a_ran.store(true, std::sync::atomic::Ordering::SeqCst),
+                || -> u8 { panic!("responder boom") },
+            )
+        }));
+        let payload = caught.expect_err("b's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"responder boom"));
+        assert!(
+            a_ran.load(std::sync::atomic::Ordering::SeqCst),
+            "a still ran"
+        );
+    }
+
+    #[test]
+    fn join_a_panic_waits_for_b_and_wins() {
+        let b_ran = std::sync::atomic::AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            join(
+                || -> u8 { panic!("reader boom") },
+                || {
+                    b_ran.store(true, std::sync::atomic::Ordering::SeqCst);
+                    panic!("responder boom")
+                },
+            )
+        }));
+        let payload = caught.expect_err("a's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"reader boom"));
+        assert!(
+            b_ran.load(std::sync::atomic::Ordering::SeqCst),
+            "b ran to its end"
+        );
     }
 }

@@ -9,18 +9,22 @@
 //! submit it through the `AdmissionQueue`, apply mutation frames as
 //! barriers, and write responses back in completion order with the
 //! client's request id attached. This demo plays the client and the
-//! server in one process over in-memory buffers — swap the `Vec<u8>`s
-//! for a socket and nothing else changes.
+//! server in one process: first over in-memory buffers, then over a
+//! live socket pair, where the client waits for its answer before it
+//! sends anything else — each response leaves the server as soon as
+//! its summary completes.
 //!
 //! ```text
 //! cargo run --release --example streaming_serving
 //! ```
 
-use std::time::Instant;
+use std::io::BufReader;
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 use xsum::core::wire::{
-    decode_frame, encode_frame, serve_stream, MutationRequest, SummaryRequest, WireFrame,
-    WireMutation,
+    decode_frame, encode_frame, read_frame, serve_stream, write_frame, MutationRequest,
+    SummaryRequest, WireFrame, WireMutation,
 };
 use xsum::core::{
     AdmissionConfig, AdmissionQueue, BatchMethod, PcstConfig, SteinerConfig, SummaryEngine,
@@ -44,6 +48,7 @@ fn main() {
     ];
     let mut stream: Vec<u8> = Vec::new();
     let mut framed = 0u64;
+    let mut first_input = None;
     for u in 0..24.min(ds.kg.n_users()) {
         let out = pgpr.recommend(u, 10);
         let paths = out.paths(out.len());
@@ -51,6 +56,7 @@ fn main() {
             continue;
         }
         let input = SummaryInput::user_centric(ds.kg.user_node(u), paths);
+        first_input.get_or_insert_with(|| input.clone());
         stream.extend_from_slice(&encode_frame(&WireFrame::SummaryRequest(SummaryRequest {
             id: framed,
             method: methods[u % methods.len()],
@@ -131,4 +137,52 @@ fn main() {
         }
     }
     println!("decoded {shown} summary responses (first 5 shown)");
+
+    // ---- live socket: one request, then wait for its answer --------
+    // A lingering coalescer holds a lone request until `linger_tickets`
+    // requests are queued, so a client that waits for each answer is
+    // served by a queue that dispatches every request at once.
+    let Some(input) = first_input else {
+        return;
+    };
+    let live_queue =
+        AdmissionQueue::for_engine(g.clone(), SummaryEngine::new(), AdmissionConfig::default());
+    let (client, server) = UnixStream::pair().expect("socket pair");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let server_w = server.try_clone().expect("clone server end");
+    let mut client_r = BufReader::new(client.try_clone().expect("clone client end"));
+    let mut client_w = client;
+    let (answer, report) = std::thread::scope(|scope| {
+        let serving = scope.spawn(|| serve_stream(BufReader::new(server), server_w, &live_queue));
+        let t0 = Instant::now();
+        let request = WireFrame::SummaryRequest(SummaryRequest {
+            id: 7,
+            method: methods[0],
+            input,
+        });
+        // The socket stays open: the answer must come without another
+        // request frame behind it.
+        let answer = write_frame(&mut client_w, &request)
+            .and_then(|()| read_frame(&mut client_r))
+            .map(|frame| (frame, t0.elapsed()));
+        // Half-close whatever happened, so the server sees EOF and ends.
+        let _ = client_w.shutdown(std::net::Shutdown::Write);
+        (answer, serving.join().expect("server thread"))
+    });
+    let (frame, waited) = answer.expect("answer arrives while the socket is still open");
+    let Some(WireFrame::SummaryResponse(resp)) = frame else {
+        unreachable!("the server answers a summary request with a summary response");
+    };
+    let s = resp.result.expect("request served");
+    println!(
+        "live socket: id {} answered in {:.1} ms ({} nodes / {} edges) \
+         before the client sent anything else",
+        resp.id,
+        waited.as_secs_f64() * 1e3,
+        s.nodes.len(),
+        s.edges.len()
+    );
+    assert_eq!(report.expect("clean session").responses, 1);
 }

@@ -58,6 +58,37 @@ fn ticket_set_yields_exactly_once() {
 }
 
 #[test]
+fn ticket_set_close_wakes_responder() {
+    let stats = modelcheck::ticket_set_close_wakes_responder(false);
+    assert!(stats.schedules_explored > 1, "scheduler never branched");
+}
+
+/// The close protocol's teeth: a close that sets the flag without
+/// notifying must leave some schedule's responder blocked forever, and
+/// the checker must report it. If this passes vacuously, the
+/// `ticket_set_close_wakes_responder` proof above is worthless.
+#[test]
+fn ticket_set_close_mutant_is_caught() {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        modelcheck::ticket_set_close_wakes_responder(true);
+    }));
+    let payload = outcome.expect_err("a close without a wake-up must fail the model");
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("");
+    assert!(
+        msg.contains("loom model failure"),
+        "expected a model-checker failure report, got: {msg:?}"
+    );
+    assert!(
+        msg.contains("deadlock"),
+        "expected the lost close wake-up to surface as a deadlock, got: {msg:?}"
+    );
+}
+
+#[test]
 fn linger_window_cannot_deadlock_a_waiter() {
     let stats = modelcheck::linger_flush_no_deadlock();
     assert!(stats.schedules_explored > 1, "scheduler never branched");

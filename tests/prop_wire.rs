@@ -12,19 +12,31 @@
 //!   over framed requests (mutation barriers included) answers every
 //!   request id with a summary bit-identical to a direct
 //!   `SummaryEngine::summarize` over an identically mutated reference
-//!   graph.
+//!   graph;
+//! * **live sessions** — over a socket pair, a client that sends its
+//!   next request only after reading the previous answer is served
+//!   (responses leave when their summary completes, not when another
+//!   frame arrives), mutation acks and admission refusals are flushed
+//!   through a buffered writer before the client's next send, and a
+//!   writer that fails mid-run ends `serve_stream` with
+//!   `WireError::Io` instead of a hang.
 
 use std::collections::HashMap;
+use std::io::{BufReader, BufWriter, Write};
+use std::os::unix::net::UnixStream;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use xsum::core::wire::{
-    decode_frame, encode_frame, serve_stream, MutationRequest, MutationResponse, SummaryRequest,
-    SummaryResponse, WireError, WireFrame, WireMutation, WireSummary, WIRE_VERSION,
+    decode_frame, encode_frame, read_frame, serve_stream, write_frame, MutationRequest,
+    MutationResponse, ServeReport, SummaryRequest, SummaryResponse, WireError, WireFrame,
+    WireMutation, WireSummary, WIRE_VERSION,
 };
 use xsum::core::{
-    AdmissionConfig, AdmissionQueue, BatchMethod, PcstConfig, PcstScope, Scenario, SteinerConfig,
-    Summary, SummaryEngine, SummaryInput,
+    pcst_summary, steiner_summary, AdmissionConfig, AdmissionQueue, BatchMethod, PcstConfig,
+    PcstScope, Scenario, SteinerConfig, Summary, SummaryEngine, SummaryInput,
 };
 use xsum::graph::{EdgeId, EdgeKind, Graph, LoosePath, NodeId, NodeKind};
 
@@ -430,4 +442,326 @@ fn corrupt_stream_still_answers_admitted_requests() {
     assert_eq!(want.method, got.method.as_str());
     assert_eq!(want.subgraph.sorted_edges(), got.edges);
     assert_eq!(want.subgraph.sorted_nodes(), got.nodes);
+}
+
+/// How long a live-session client waits for one answer. The old
+/// serving loop held every answer until the next request frame, so a
+/// client that waits first deadlocked; the timeout turns that into a
+/// failure instead of a hung test.
+const ANSWER_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The client end of a live session: send one frame, read one answer.
+struct Client {
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+}
+
+impl Client {
+    fn ask(&mut self, frame: &WireFrame) -> Result<WireFrame, String> {
+        write_frame(&mut self.writer, frame).map_err(|e| format!("send: {e}"))?;
+        match read_frame(&mut self.reader) {
+            Ok(Some(answer)) => Ok(answer),
+            Ok(None) => Err("server closed before answering".to_string()),
+            Err(e) => Err(format!("no answer within {ANSWER_TIMEOUT:?}: {e}")),
+        }
+    }
+}
+
+/// Run `serve_stream` on one end of a socket pair (its writer wrapped
+/// in a `BufWriter` when `buffered`) while `client` drives the other
+/// end. The client's write half is shut down afterwards whatever it
+/// returned, so the server always sees EOF and the session ends.
+fn live_session<T>(
+    queue: &AdmissionQueue,
+    buffered: bool,
+    client: impl FnOnce(&mut Client) -> Result<T, String>,
+) -> (Result<T, String>, Result<ServeReport, WireError>) {
+    let (near, far) = UnixStream::pair().expect("socket pair");
+    near.set_read_timeout(Some(ANSWER_TIMEOUT))
+        .expect("read timeout");
+    let far_w = far.try_clone().expect("clone server end");
+    let mut c = Client {
+        reader: BufReader::new(near.try_clone().expect("clone client end")),
+        writer: near,
+    };
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || {
+            let writer: Box<dyn Write + Send> = if buffered {
+                Box::new(BufWriter::new(far_w))
+            } else {
+                Box::new(far_w)
+            };
+            serve_stream(BufReader::new(far), writer, queue)
+        });
+        let got = client(&mut c);
+        let _ = c.writer.shutdown(std::net::Shutdown::Write);
+        // Read what is left so the server's writes never block.
+        while let Ok(Some(_)) = read_frame(&mut c.reader) {}
+        (got, server.join().expect("server thread panicked"))
+    })
+}
+
+fn summary_answer(frame: WireFrame, id: u64) -> Result<WireSummary, String> {
+    match frame {
+        WireFrame::SummaryResponse(resp) if resp.id == id => resp.result,
+        other => Err(format!(
+            "expected the summary answer to {id}, got {other:?}"
+        )),
+    }
+}
+
+fn assert_wire_identical(want: &Summary, got: &WireSummary) {
+    assert_eq!(want.method, got.method.as_str());
+    assert_eq!(want.scenario, got.scenario);
+    assert_eq!(want.terminals, got.terminals);
+    assert_eq!(want.subgraph.sorted_nodes(), got.nodes);
+    assert_eq!(want.subgraph.sorted_edges(), got.edges);
+}
+
+fn live_queue(g: &Graph) -> AdmissionQueue {
+    AdmissionQueue::for_engine(
+        g.clone(),
+        SummaryEngine::with_threads(2),
+        AdmissionConfig {
+            queue_bound: 64,
+            max_batch: 8,
+            linger_tickets: 1,
+        },
+    )
+}
+
+#[test]
+fn ping_pong_client_gets_each_answer_before_its_next_send() {
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let queue = live_queue(&g);
+    let st = SteinerConfig::default();
+    let pcst = PcstConfig::default();
+    let requests: Vec<(u64, BatchMethod, usize)> = (0..8u64)
+        .map(|k| {
+            let method = if k % 2 == 0 {
+                BatchMethod::Steiner(st)
+            } else {
+                BatchMethod::Pcst(pcst)
+            };
+            (k, method, k as usize % inputs.len())
+        })
+        .collect();
+    let (answers, served) = live_session(&queue, false, |c| {
+        let mut answers = Vec::new();
+        for &(id, method, input) in &requests {
+            let answer = c.ask(&WireFrame::SummaryRequest(SummaryRequest {
+                id,
+                method,
+                input: inputs[input].clone(),
+            }))?;
+            answers.push(summary_answer(answer, id)?);
+        }
+        Ok(answers)
+    });
+    let answers = answers.expect("every request answered before the next send");
+    let report = served.expect("clean session");
+    assert_eq!(report.summaries, 8);
+    assert_eq!(report.responses, 8);
+    for (&(_, method, input), got) in requests.iter().zip(&answers) {
+        let want = match method {
+            BatchMethod::Steiner(cfg) => steiner_summary(&g, &inputs[input], &cfg),
+            BatchMethod::Pcst(cfg) => pcst_summary(&g, &inputs[input], &cfg),
+            _ => unreachable!("the session sends ST and PCST only"),
+        };
+        assert_wire_identical(&want, got);
+    }
+}
+
+#[test]
+fn buffered_writer_flushes_acks_and_refusals_before_the_next_send() {
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let queue = live_queue(&g);
+    let st = SteinerConfig::default();
+    let e = EdgeId(0);
+    let w = 7.5;
+    let summary = |id: u64| {
+        WireFrame::SummaryRequest(SummaryRequest {
+            id,
+            method: BatchMethod::Steiner(st),
+            input: inputs[0].clone(),
+        })
+    };
+    let (answers, served) = live_session(&queue, true, |c| {
+        let before = summary_answer(c.ask(&summary(1))?, 1)?;
+        match c.ask(&WireFrame::MutationRequest(MutationRequest {
+            id: 2,
+            mutation: WireMutation::SetWeight { edge: e, weight: w },
+        }))? {
+            WireFrame::MutationResponse(ack) if ack.id == 2 => ack.result?,
+            other => return Err(format!("expected the mutation ack, got {other:?}")),
+        }
+        let after = summary_answer(c.ask(&summary(3))?, 3)?;
+        queue.shutdown();
+        let refusal = match c.ask(&summary(4))? {
+            WireFrame::SummaryResponse(resp) if resp.id == 4 => resp.result,
+            other => return Err(format!("expected the refusal, got {other:?}")),
+        };
+        Ok((before, after, refusal))
+    });
+    let (before, after, refusal) = answers.expect("every answer flushed before the next send");
+    let report = served.expect("clean session");
+    assert_eq!(report.summaries, 3);
+    assert_eq!(report.mutations, 1);
+    assert_eq!(report.responses, 4);
+    assert!(refusal.is_err(), "a shut-down queue refuses: {refusal:?}");
+    assert_wire_identical(&steiner_summary(&g, &inputs[0], &st), &before);
+    let mut mutated = g.clone();
+    mutated.set_weight(e, w);
+    assert_wire_identical(&steiner_summary(&mutated, &inputs[0], &st), &after);
+}
+
+/// A writer that accepts `budget` bytes, then fails every call.
+struct FailAfter {
+    budget: usize,
+}
+
+impl Write for FailAfter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.budget == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "writer failed on purpose",
+            ));
+        }
+        let n = buf.len().min(self.budget);
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn failing_writer_ends_the_run_with_an_io_error() {
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let queue = Arc::new(live_queue(&g));
+    // A mutation first, so a zero budget fails the reader's own write;
+    // larger budgets fail the responder mid-stream.
+    let mut stream = encode_frame(&WireFrame::MutationRequest(MutationRequest {
+        id: 100,
+        mutation: WireMutation::SetWeight {
+            edge: EdgeId(0),
+            weight: 2.0,
+        },
+    }));
+    for id in 0..16u64 {
+        stream.extend_from_slice(&encode_frame(&WireFrame::SummaryRequest(SummaryRequest {
+            id,
+            method: BatchMethod::Steiner(SteinerConfig::default()),
+            input: inputs[id as usize % inputs.len()].clone(),
+        })));
+    }
+    for budget in [0usize, 1, 40, 200] {
+        let (tx, rx) = mpsc::channel();
+        let (queue, stream) = (Arc::clone(&queue), stream.clone());
+        // Detached, so a hang fails the test instead of wedging it.
+        std::thread::spawn(move || {
+            let _ = tx.send(serve_stream(&stream[..], FailAfter { budget }, &queue));
+        });
+        let result = rx
+            .recv_timeout(ANSWER_TIMEOUT)
+            .unwrap_or_else(|_| panic!("serve_stream hung on a failed write (budget {budget})"));
+        match result {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
+            other => panic!("budget {budget}: expected WireError::Io, got {other:?}"),
+        }
+    }
+}
+
+/// Hands out one frame per `read` call, pausing before each, so
+/// requests trickle in while the server's responder is busy or waiting.
+struct TrickleReader {
+    frames: std::vec::IntoIter<Vec<u8>>,
+    current: Vec<u8>,
+    pos: usize,
+}
+
+impl std::io::Read for TrickleReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.current.len() {
+            let Some(next) = self.frames.next() else {
+                return Ok(0);
+            };
+            std::thread::sleep(Duration::from_millis(5));
+            self.current = next;
+            self.pos = 0;
+        }
+        let n = buf.len().min(self.current.len() - self.pos);
+        buf[..n].copy_from_slice(&self.current[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// A writer that takes its time over every write.
+struct SlowWriter {
+    out: Vec<u8>,
+}
+
+impl Write for SlowWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(12));
+        self.out.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn lingering_stream_coalesces_while_the_responder_writes_and_waits() {
+    // Every dispatch but the one the end of the stream forces needs
+    // `linger` queued requests, so 2 × linger requests dispatch in at
+    // most two batches. The responder goes back to waiting on the set
+    // while later requests linger there (its slow writes outlast the
+    // gaps between requests); a wait that flushed the window would
+    // dispatch them in smaller batches.
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let linger = 3;
+    let queue = AdmissionQueue::for_engine(
+        g.clone(),
+        SummaryEngine::with_threads(2),
+        AdmissionConfig {
+            queue_bound: 64,
+            max_batch: 8,
+            linger_tickets: linger,
+        },
+    );
+    let frames: Vec<Vec<u8>> = (0..2 * linger as u64)
+        .map(|id| {
+            encode_frame(&WireFrame::SummaryRequest(SummaryRequest {
+                id,
+                method: BatchMethod::SteinerFast(SteinerConfig::default()),
+                input: inputs[id as usize % inputs.len()].clone(),
+            }))
+        })
+        .collect();
+    let reader = TrickleReader {
+        frames: frames.into_iter(),
+        current: Vec::new(),
+        pos: 0,
+    };
+    let mut writer = SlowWriter { out: Vec::new() };
+    let report = serve_stream(reader, &mut writer, &queue).expect("clean stream serves");
+    assert_eq!(report.responses, 2 * linger as u64);
+    let stats = queue.stats();
+    assert!(
+        stats.batches_dispatched <= 2,
+        "the linger window closed early: {} batches",
+        stats.batches_dispatched
+    );
+    assert!(stats.max_coalesced >= linger);
 }
